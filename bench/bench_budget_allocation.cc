@@ -141,7 +141,7 @@ Outcome RunGlobal(const std::vector<BookProblem>& problems, int total_budget,
                                problems[b].joint, providers.back().get())
                  .ok());
   }
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   CF_CHECK(records.ok());
   std::vector<core::JointDistribution> joints;
   std::vector<int> costs;

@@ -86,6 +86,7 @@ double RunDirectOnceMs(const Workload& workload, const Instances& instances,
   core::BudgetScheduler::Options options;
   options.total_budget = workload.budget_per_book * workload.books;
   options.tasks_per_step = workload.tasks_per_step;
+  options.max_in_flight = 1;  // what the facade's "blocking" mode runs
   auto scheduler = core::BudgetScheduler::Create(*crowd, &selector, options);
   CF_CHECK(scheduler.ok());
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> crowds;
@@ -98,7 +99,7 @@ double RunDirectOnceMs(const Workload& workload, const Instances& instances,
                                     instances.joints[i], crowds.back().get())
                  .ok());
   }
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   CF_CHECK(records.ok()) << records.status().ToString();
   *utility_out = scheduler->TotalUtilityBits();
   return stopwatch.ElapsedSeconds() * 1e3;

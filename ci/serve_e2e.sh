@@ -41,16 +41,18 @@ BASE="http://127.0.0.1:$PORT"
 echo "front-end on $PORT, crowd platform on $CROWD_PORT"
 curl -fsS "$BASE/healthz" | grep -q '"status":"ok"'
 
-# The http-provider request names the crowd endpoint; point the fixture's
-# template at the actual ephemeral port (the response golden is
+# The http-provider requests name the crowd endpoint; point the fixtures'
+# templates at the actual ephemeral port (the response golden is
 # endpoint-free, so this keeps the diff exact).
-python3 - "$FIXTURES/run_crowd_http.json" "$CROWD_PORT" \
-  >"$WORK/run_crowd_http.request.json" <<'PYEOF'
+for fixture in run_crowd_http run_blocking_http; do
+  python3 - "$FIXTURES/$fixture.json" "$CROWD_PORT" \
+    >"$WORK/$fixture.request.json" <<'PYEOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 doc["provider"]["endpoint"] = "127.0.0.1:" + sys.argv[2]
 json.dump(doc, sys.stdout, indent=2)
 PYEOF
+done
 
 check_golden() {
   local name="$1"
@@ -76,6 +78,12 @@ check_golden run_scripted
 curl -fsS -X POST --data @"$WORK/run_crowd_http.request.json" \
   "$BASE/v1/fusion:run" >"$WORK/run_crowd_http.out"
 check_golden run_crowd_http
+
+# --- one-shot fusion:run in "blocking" mode through the remote crowd, with
+# simulated answer latency so the scheduler's wait path runs -------------
+curl -fsS -X POST --data @"$WORK/run_blocking_http.request.json" \
+  "$BASE/v1/fusion:run" >"$WORK/run_blocking_http.out"
+check_golden run_blocking_http
 
 # --- incremental session lifecycle --------------------------------------
 SID=$(curl -fsS -X POST --data @"$FIXTURES/run_scripted.json" \

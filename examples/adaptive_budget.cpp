@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   }
 
   const double utility_before = scheduler->TotalUtilityBits();
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.status().ToString().c_str());
     return 1;

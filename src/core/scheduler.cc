@@ -215,6 +215,11 @@ common::Result<BudgetScheduler::StepRecord> BudgetScheduler::HarvestTicket(
   record.expected_gain_bits = instance.pending_gain_bits;
   record.latency_seconds = now - instance.submitted_at;
   instance.in_flight = false;
+  // The ticket is settled either way: release its reservation before any
+  // error return below can leak it, and charge the tasks again as spent
+  // once they merge.
+  const int tasks = static_cast<int>(record.tasks.size());
+  cost_reserved_ -= tasks;
   CF_ASSIGN_OR_RETURN(record.answers,
                       instance.provider->Await(instance.ticket));
   if (record.answers.size() != record.tasks.size()) {
@@ -227,59 +232,12 @@ common::Result<BudgetScheduler::StepRecord> BudgetScheduler::HarvestTicket(
                       PosteriorGivenAnswers(instance.joint, answer_set,
                                             crowd_));
   instance.selection_valid = false;  // joint changed
-  instance.cost_spent += static_cast<int>(record.tasks.size());
-  cost_spent_ += static_cast<int>(record.tasks.size());
+  instance.cost_spent += tasks;
+  cost_spent_ += tasks;
+  cost_reserved_ += tasks;
   record.cumulative_cost = cost_spent_;
   record.total_utility_bits = TotalUtilityBits();
   return record;
-}
-
-common::Result<BudgetScheduler::StepRecord> BudgetScheduler::RunStep() {
-  if (!HasBudget()) {
-    return Status::FailedPrecondition("global budget exhausted");
-  }
-  if (instances_.empty()) {
-    return Status::FailedPrecondition("no instances registered");
-  }
-  const int k =
-      std::min(options_.tasks_per_step, options_.total_budget - cost_spent_);
-  // Blocking mode has nothing in flight; drop any ticket state an aborted
-  // pipelined run left behind so those instances schedule again.
-  AbandonInFlightTickets();
-  CF_ASSIGN_OR_RETURN(const int best_instance, PickBestIdleInstance(k));
-
-  if (best_instance < 0) {
-    // Nothing anywhere has positive benefit; signal exhaustion.
-    StepRecord record;
-    record.step = steps_run_++;
-    record.cumulative_cost = cost_spent_;
-    record.instance = -1;
-    record.total_utility_bits = TotalUtilityBits();
-    return record;
-  }
-
-  // Submit the winner's ticket and block through the crowd's latency: the
-  // paper's synchronous collect, expressed on the async contract.
-  Instance& winner = instances_[static_cast<size_t>(best_instance)];
-  CF_RETURN_IF_ERROR(SubmitSelection(winner, clock()->NowSeconds()));
-  CF_ASSIGN_OR_RETURN(StepRecord record,
-                      HarvestTicket(winner, clock()->NowSeconds()));
-  // Await slept through the remaining latency; stamp the full wait.
-  record.latency_seconds = clock()->NowSeconds() - winner.submitted_at;
-  cost_reserved_ = cost_spent_;
-  return record;
-}
-
-common::Result<std::vector<BudgetScheduler::StepRecord>>
-BudgetScheduler::Run() {
-  std::vector<StepRecord> records;
-  while (HasBudget()) {
-    CF_ASSIGN_OR_RETURN(StepRecord record, RunStep());
-    const bool exhausted = record.instance < 0;
-    records.push_back(std::move(record));
-    if (exhausted) break;
-  }
-  return records;
 }
 
 common::Result<std::vector<BudgetScheduler::StepRecord>>
@@ -309,9 +267,9 @@ common::Result<bool> BudgetScheduler::RunPipelinedStep(
   }
 
   // Launch: fill the in-flight window with the best idle instances. The
-  // early Poll-break makes the zero-latency schedule merge each batch
-  // before the next launch decision, reproducing the blocking loop
-  // exactly; real-latency tickets stay pending, so the window fills and
+  // early Poll-break makes a zero-latency schedule merge each batch
+  // before the next launch decision, so it is the same at every window
+  // size; real-latency tickets stay pending, so the window fills and
   // answer latencies overlap.
   while (in_flight_count < options_.max_in_flight &&
          cost_reserved_ < options_.total_budget) {
@@ -330,7 +288,7 @@ common::Result<bool> BudgetScheduler::RunPipelinedStep(
   if (in_flight_count == 0) {
     if (HasBudget()) {
       // Budget remains but no instance has positive-gain tasks left;
-      // emit the same exhaustion marker the blocking loop does.
+      // emit the exhaustion marker.
       StepRecord record;
       record.step = steps_run_++;
       record.cumulative_cost = cost_spent_;

@@ -181,21 +181,7 @@ common::Result<std::vector<StepOutcome>> Session::StepEngine() {
   return outcomes;
 }
 
-common::Result<std::vector<StepOutcome>> Session::StepBlocking() {
-  std::vector<StepOutcome> outcomes;
-  if (!scheduler_->HasBudget()) {
-    done_ = true;
-    return outcomes;
-  }
-  CF_ASSIGN_OR_RETURN(const core::BudgetScheduler::StepRecord record,
-                      scheduler_->RunStep());
-  if (record.instance < 0) done_ = true;
-  outcomes.push_back(FromStepRecord(record));
-  if (!scheduler_->HasBudget()) done_ = true;
-  return outcomes;
-}
-
-common::Result<std::vector<StepOutcome>> Session::StepPipelined() {
+common::Result<std::vector<StepOutcome>> Session::StepScheduler() {
   std::vector<core::BudgetScheduler::StepRecord> records;
   CF_ASSIGN_OR_RETURN(const bool more, scheduler_->RunPipelinedStep(records));
   std::vector<StepOutcome> outcomes;
@@ -203,7 +189,9 @@ common::Result<std::vector<StepOutcome>> Session::StepPipelined() {
   for (const auto& record : records) {
     outcomes.push_back(FromStepRecord(record));
   }
-  if (!more) done_ = true;
+  // A spent budget leaves nothing in flight, so the run ends with this
+  // step rather than with an empty one after it.
+  if (!more || !scheduler_->HasBudget()) done_ = true;
   return outcomes;
 }
 
@@ -211,9 +199,7 @@ common::Result<std::vector<StepOutcome>> Session::Step() {
   if (done_) return std::vector<StepOutcome>{};
   common::Stopwatch stopwatch;
   common::Result<std::vector<StepOutcome>> outcomes =
-      mode_ == RunMode::kEngine
-          ? StepEngine()
-          : (mode_ == RunMode::kBlocking ? StepBlocking() : StepPipelined());
+      mode_ == RunMode::kEngine ? StepEngine() : StepScheduler();
   wall_seconds_ += stopwatch.ElapsedSeconds();
   if (!outcomes.ok()) return outcomes.status();
   steps_.insert(steps_.end(), outcomes.value().begin(),
@@ -433,13 +419,18 @@ common::Result<std::unique_ptr<Session>> FusionService::CreateSession(
     core::BudgetScheduler::Options options;
     options.total_budget = total_budget;
     options.tasks_per_step = request.budget.tasks_per_step;
-    options.max_in_flight = request.pipeline.max_in_flight;
+    // Blocking is the same loop with a one-ticket window that aborts on a
+    // failed ticket.
+    const bool blocking = request.mode == RunMode::kBlocking;
+    options.max_in_flight = blocking ? 1 : request.pipeline.max_in_flight;
     options.ticket.max_attempts = request.pipeline.ticket_max_attempts;
     options.ticket.deadline_seconds =
         request.pipeline.ticket_deadline_seconds;
     options.ticket.retry_backoff_seconds =
         request.pipeline.retry_backoff_seconds;
-    options.on_ticket_failure = request.pipeline.on_ticket_failure;
+    options.on_ticket_failure =
+        blocking ? core::BudgetScheduler::TicketFailurePolicy::kAbort
+                 : request.pipeline.on_ticket_failure;
     options.max_poll_seconds = request.pipeline.max_poll_seconds;
     options.concurrent_selection = request.pipeline.concurrent_selection;
     options.clock = config_.clock;

@@ -28,10 +28,12 @@ namespace crowdfusion::service {
 ///  * kEngine: one CrowdFusionEngine per instance with a per-instance
 ///    budget, advanced round-robin (the paper's Figure-1 loop, and the
 ///    trajectory eval::RunExperiment reports).
-///  * kBlocking: one BudgetScheduler holding a global budget, one ticket
-///    at a time (the Section V-D allocation strategy).
-///  * kPipelined: the same scheduler with up to max_in_flight ticket
+///  * kPipelined: one BudgetScheduler holding a global budget (the
+///    Section V-D allocation strategy), with up to max_in_flight ticket
 ///    batches outstanding, overlapping crowd latency.
+///  * kBlocking: the pipelined loop with a window of 1 that aborts on a
+///    failed ticket — one ticket at a time. It ignores
+///    PipelineSpec::max_in_flight and on_ticket_failure.
 enum class RunMode { kEngine, kBlocking, kPipelined };
 
 /// Config spelling of a RunMode ("engine", "blocking", "pipelined").
@@ -81,8 +83,9 @@ struct BudgetSpec {
   friend bool operator==(const BudgetSpec& a, const BudgetSpec& b) = default;
 };
 
-/// Pipelined-mode serving knobs (ignored by the other modes except
-/// max_poll_seconds, which the blocking scheduler also respects).
+/// Scheduler serving knobs. Engine mode ignores them all. Blocking mode is
+/// the pipelined loop with a window of 1 that aborts on a failed ticket,
+/// so it ignores max_in_flight and on_ticket_failure and honours the rest.
 struct PipelineSpec {
   int max_in_flight = 4;
   int ticket_max_attempts = 1;
@@ -234,10 +237,11 @@ class Session {
 
   /// Advances one quantum and returns its outcomes, in merge order:
   /// engine mode runs every live instance one round (round-robin pass);
-  /// blocking mode runs one scheduler step; pipelined mode fills the
-  /// in-flight window and harvests everything that resolved. An empty
+  /// the scheduler modes fill the in-flight window (one ticket in
+  /// blocking mode) and harvest everything that resolved. An empty
   /// vector means the run just completed (the exhaustion marker, when
-  /// emitted, arrives as a final instance == -1 outcome first).
+  /// emitted, arrives as a final instance == -1 outcome first). A step
+  /// that fails (e.g. a crowd outage) may be retried.
   common::Result<std::vector<StepOutcome>> Step();
 
   /// Non-blocking progress snapshot.
@@ -309,8 +313,7 @@ class Session {
   common::Status BindInstance(InstanceSpec spec);
 
   common::Result<std::vector<StepOutcome>> StepEngine();
-  common::Result<std::vector<StepOutcome>> StepBlocking();
-  common::Result<std::vector<StepOutcome>> StepPipelined();
+  common::Result<std::vector<StepOutcome>> StepScheduler();
 
   StepOutcome FromRoundRecord(int instance, const core::RoundRecord& record);
   StepOutcome FromStepRecord(const core::BudgetScheduler::StepRecord& record);
@@ -342,8 +345,8 @@ class Session {
   bool done_ = false;
 };
 
-/// The facade: one typed request/response API over the engine, the
-/// blocking scheduler, and the pipelined scheduler, with every backend
+/// The facade: one typed request/response API over the engine and the
+/// budget scheduler (blocking or pipelined), with every backend
 /// constructed from string-keyed registries. Thread-compatible: one
 /// service may mint many sessions; each session is single-caller.
 class FusionService {

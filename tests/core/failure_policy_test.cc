@@ -175,5 +175,46 @@ TEST(FailurePolicyTest, DeadlineExpiredTicketIsSkippedToo) {
   EXPECT_EQ(scheduler->cost_spent(0), 0);
 }
 
+/// Regression: under kAbort a failed ticket must give its budget
+/// reservation back. A caller that retries the step after the error must
+/// then spend the whole budget, with no spurious exhaustion marker —
+/// both with the one-ticket window "blocking" mode runs on and with a
+/// wider one.
+TEST(FailurePolicyTest, AbortedTicketReleasesItsReservation) {
+  for (const int max_in_flight : {1, 4}) {
+    SCOPED_TRACE("max_in_flight " + std::to_string(max_in_flight));
+    GreedySelector selector;
+    ScriptedProvider flaky{ScriptedProvider::Options{
+        .script = {true, false, true}, .failures_before_success = 1}};
+    BudgetScheduler::Options options;
+    options.total_budget = 4;
+    options.tasks_per_step = 1;
+    options.max_in_flight = max_in_flight;
+    auto scheduler = BudgetScheduler::Create(MakeCrowd(), &selector, options);
+    ASSERT_TRUE(scheduler.ok());
+    ASSERT_TRUE(scheduler
+                    ->AddInstance("flaky", SmallJoint(),
+                                  static_cast<AnswerProvider*>(&flaky))
+                    .ok());
+
+    std::vector<BudgetScheduler::StepRecord> records;
+    int failures = 0;
+    for (int attempt = 0; attempt < 16; ++attempt) {
+      auto more = scheduler->RunPipelinedStep(records);
+      if (!more.ok()) {
+        EXPECT_EQ(more.status().code(), common::StatusCode::kUnavailable);
+        ++failures;
+        continue;
+      }
+      if (!*more) break;
+    }
+    EXPECT_EQ(failures, 1);
+    EXPECT_EQ(scheduler->total_cost_spent(), 4);
+    for (const auto& record : records) {
+      EXPECT_GE(record.instance, 0) << "spurious exhaustion marker";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace crowdfusion::core

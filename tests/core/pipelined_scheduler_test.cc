@@ -1,18 +1,26 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
 #include "core/greedy_selector.h"
 #include "core/scheduler.h"
+#include "core/scripted_provider.h"
 #include "crowd/simulated_crowd.h"
+#include "scheduler_golden.h"
 
 namespace crowdfusion::core {
 namespace {
 
 using common::ManualClock;
+
+// Injected by tests/core/CMakeLists.txt.
+#ifndef CROWDFUSION_SCHEDULER_GOLDEN_DIR
+#error "CROWDFUSION_SCHEDULER_GOLDEN_DIR must be defined by the build"
+#endif
 
 CrowdModel MakeCrowd(double pc) {
   auto crowd = CrowdModel::Create(pc);
@@ -41,9 +49,8 @@ struct SchedulerFixture {
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> providers;
 };
 
-/// Builds identical multi-book workloads for the blocking and pipelined
-/// runs: same seeds everywhere, so any divergence between the two runs is
-/// the scheduler's doing.
+/// Builds identical seeded multi-book workloads, so any divergence
+/// between two runs is the scheduler's doing.
 SchedulerFixture MakeFixture(uint64_t seed, TaskSelector* selector,
                              BudgetScheduler::Options options) {
   SchedulerFixture fixture;
@@ -67,59 +74,57 @@ SchedulerFixture MakeFixture(uint64_t seed, TaskSelector* selector,
   return fixture;
 }
 
-/// The PR's pin: with a zero-latency deterministic provider the pipelined
-/// path must reproduce the legacy blocking path exactly — same step
-/// sequence, same task sets, same answers, same utilities — across many
-/// seeds, even with a wide in-flight window.
+/// The blocking pin: with a zero-latency deterministic provider the loop
+/// must reproduce, at any window size, exactly what the one-ticket-at-a-
+/// time blocking loop produced before it was folded into this one — same
+/// step sequence, task sets, answers, utilities and final joints, across
+/// 32 seeds. The golden holds that loop's output (see scheduler_golden.h).
 TEST(PipelinedSchedulerDifferentialTest, ZeroLatencyPipelinedEqualsBlocking) {
   constexpr int kSeeds = 32;
-  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    GreedySelector selector;
-    BudgetScheduler::Options options;
-    options.total_budget = 14;
-    options.tasks_per_step = 1 + static_cast<int>(seed % 3);
-    options.max_in_flight = 4;
+  const std::vector<golden::Run> goldens = golden::Load(
+      std::string(CROWDFUSION_SCHEDULER_GOLDEN_DIR) +
+      "/blocking_scheduler_runs.txt");
+  ASSERT_EQ(goldens.size(), static_cast<size_t>(kSeeds))
+      << "missing or malformed golden";
+  for (const int max_in_flight : {1, 4}) {
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      SCOPED_TRACE("max_in_flight " + std::to_string(max_in_flight) +
+                   " seed " + std::to_string(seed));
+      const golden::Run& expected = goldens[seed - 1];
+      ASSERT_EQ(expected.seed, seed);
+      GreedySelector selector;
+      BudgetScheduler::Options options;
+      options.total_budget = 14;
+      options.tasks_per_step = 1 + static_cast<int>(seed % 3);
+      options.max_in_flight = max_in_flight;
 
-    SchedulerFixture blocking = MakeFixture(seed, &selector, options);
-    auto blocking_records = blocking.scheduler->Run();
-    ASSERT_TRUE(blocking_records.ok()) << "seed " << seed;
+      SchedulerFixture pipelined = MakeFixture(seed, &selector, options);
+      auto records = pipelined.scheduler->RunPipelined();
+      ASSERT_TRUE(records.ok()) << records.status();
+      const golden::Run actual =
+          golden::Capture(seed, *records, *pipelined.scheduler);
 
-    SchedulerFixture pipelined = MakeFixture(seed, &selector, options);
-    auto pipelined_records = pipelined.scheduler->RunPipelined();
-    ASSERT_TRUE(pipelined_records.ok()) << "seed " << seed;
-
-    ASSERT_EQ(pipelined_records->size(), blocking_records->size())
-        << "seed " << seed;
-    for (size_t s = 0; s < blocking_records->size(); ++s) {
-      const auto& blocking_step = (*blocking_records)[s];
-      const auto& pipelined_step = (*pipelined_records)[s];
-      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
-                   std::to_string(s));
-      EXPECT_EQ(pipelined_step.step, blocking_step.step);
-      EXPECT_EQ(pipelined_step.instance, blocking_step.instance);
-      EXPECT_EQ(pipelined_step.tasks, blocking_step.tasks);
-      EXPECT_EQ(pipelined_step.answers, blocking_step.answers);
-      EXPECT_DOUBLE_EQ(pipelined_step.expected_gain_bits,
-                       blocking_step.expected_gain_bits);
-      EXPECT_DOUBLE_EQ(pipelined_step.total_utility_bits,
-                       blocking_step.total_utility_bits);
-      EXPECT_EQ(pipelined_step.cumulative_cost, blocking_step.cumulative_cost);
-    }
-
-    ASSERT_EQ(pipelined.scheduler->num_instances(),
-              blocking.scheduler->num_instances());
-    EXPECT_EQ(pipelined.scheduler->total_cost_spent(),
-              blocking.scheduler->total_cost_spent());
-    for (int i = 0; i < blocking.scheduler->num_instances(); ++i) {
-      EXPECT_EQ(pipelined.scheduler->cost_spent(i),
-                blocking.scheduler->cost_spent(i));
-      const auto blocking_marginals = blocking.scheduler->joint(i).Marginals();
-      const auto pipelined_marginals =
-          pipelined.scheduler->joint(i).Marginals();
-      ASSERT_EQ(pipelined_marginals.size(), blocking_marginals.size());
-      for (size_t f = 0; f < blocking_marginals.size(); ++f) {
-        EXPECT_DOUBLE_EQ(pipelined_marginals[f], blocking_marginals[f])
-            << "seed " << seed << " instance " << i << " fact " << f;
+      ASSERT_EQ(actual.steps.size(), expected.steps.size());
+      for (size_t s = 0; s < expected.steps.size(); ++s) {
+        SCOPED_TRACE("step " + std::to_string(s));
+        const golden::Step& want = expected.steps[s];
+        const golden::Step& got = actual.steps[s];
+        EXPECT_EQ(got.step, want.step);
+        EXPECT_EQ(got.instance, want.instance);
+        EXPECT_EQ(got.tasks, want.tasks);
+        EXPECT_EQ(got.answers, want.answers);
+        EXPECT_EQ(got.expected_gain_bits, want.expected_gain_bits);
+        EXPECT_EQ(got.total_utility_bits, want.total_utility_bits);
+        EXPECT_EQ(got.cumulative_cost, want.cumulative_cost);
+      }
+      EXPECT_EQ(actual.total_cost_spent, expected.total_cost_spent);
+      ASSERT_EQ(actual.instances.size(), expected.instances.size());
+      for (size_t i = 0; i < expected.instances.size(); ++i) {
+        EXPECT_EQ(actual.instances[i].cost_spent,
+                  expected.instances[i].cost_spent)
+            << "instance " << i;
+        EXPECT_EQ(actual.instances[i].joint, expected.instances[i].joint)
+            << "instance " << i;
       }
     }
   }
@@ -128,54 +133,47 @@ TEST(PipelinedSchedulerDifferentialTest, ZeroLatencyPipelinedEqualsBlocking) {
 /// Concurrent selection compute must be invisible in results: with a
 /// ConcurrentSelectSafe selector (the greedy), running stale-book
 /// refreshes on the shared pool in parallel has to reproduce the serial
-/// sweep record-for-record — the overlap changes wall-clock only. Runs
-/// both scheduler modes so the concurrent refresh is exercised from the
-/// blocking and pipelined drivers alike.
+/// sweep record-for-record — the overlap changes wall-clock only.
 TEST(PipelinedSchedulerDifferentialTest, ConcurrentSelectionEqualsSerial) {
   constexpr int kSeeds = 32;
-  for (const bool pipelined : {false, true}) {
-    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-      GreedySelector selector;
-      BudgetScheduler::Options options;
-      options.total_budget = 14;
-      options.tasks_per_step = 1 + static_cast<int>(seed % 3);
-      options.max_in_flight = 4;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    GreedySelector selector;
+    BudgetScheduler::Options options;
+    options.total_budget = 14;
+    options.tasks_per_step = 1 + static_cast<int>(seed % 3);
+    options.max_in_flight = 4;
 
-      options.concurrent_selection = false;
-      SchedulerFixture serial = MakeFixture(seed, &selector, options);
-      auto serial_records = pipelined ? serial.scheduler->RunPipelined()
-                                      : serial.scheduler->Run();
-      ASSERT_TRUE(serial_records.ok()) << "seed " << seed;
+    options.concurrent_selection = false;
+    SchedulerFixture serial = MakeFixture(seed, &selector, options);
+    auto serial_records = serial.scheduler->RunPipelined();
+    ASSERT_TRUE(serial_records.ok()) << "seed " << seed;
 
-      options.concurrent_selection = true;
-      SchedulerFixture concurrent = MakeFixture(seed, &selector, options);
-      auto concurrent_records = pipelined
-                                    ? concurrent.scheduler->RunPipelined()
-                                    : concurrent.scheduler->Run();
-      ASSERT_TRUE(concurrent_records.ok()) << "seed " << seed;
+    options.concurrent_selection = true;
+    SchedulerFixture concurrent = MakeFixture(seed, &selector, options);
+    auto concurrent_records = concurrent.scheduler->RunPipelined();
+    ASSERT_TRUE(concurrent_records.ok()) << "seed " << seed;
 
-      ASSERT_EQ(concurrent_records->size(), serial_records->size())
-          << "seed " << seed;
-      for (size_t s = 0; s < serial_records->size(); ++s) {
-        SCOPED_TRACE("pipelined=" + std::to_string(pipelined) + " seed " +
-                     std::to_string(seed) + " step " + std::to_string(s));
-        const auto& serial_step = (*serial_records)[s];
-        const auto& concurrent_step = (*concurrent_records)[s];
-        EXPECT_EQ(concurrent_step.instance, serial_step.instance);
-        EXPECT_EQ(concurrent_step.tasks, serial_step.tasks);
-        EXPECT_EQ(concurrent_step.answers, serial_step.answers);
-        EXPECT_DOUBLE_EQ(concurrent_step.expected_gain_bits,
-                         serial_step.expected_gain_bits);
-        EXPECT_DOUBLE_EQ(concurrent_step.total_utility_bits,
-                         serial_step.total_utility_bits);
-      }
-      EXPECT_EQ(concurrent.scheduler->total_cost_spent(),
-                serial.scheduler->total_cost_spent());
-      // Both modes log every Select() they actually ran.
-      EXPECT_EQ(concurrent.scheduler->selection_compute_seconds().size(),
-                serial.scheduler->selection_compute_seconds().size())
-          << "seed " << seed;
+    ASSERT_EQ(concurrent_records->size(), serial_records->size())
+        << "seed " << seed;
+    for (size_t s = 0; s < serial_records->size(); ++s) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(s));
+      const auto& serial_step = (*serial_records)[s];
+      const auto& concurrent_step = (*concurrent_records)[s];
+      EXPECT_EQ(concurrent_step.instance, serial_step.instance);
+      EXPECT_EQ(concurrent_step.tasks, serial_step.tasks);
+      EXPECT_EQ(concurrent_step.answers, serial_step.answers);
+      EXPECT_DOUBLE_EQ(concurrent_step.expected_gain_bits,
+                       serial_step.expected_gain_bits);
+      EXPECT_DOUBLE_EQ(concurrent_step.total_utility_bits,
+                       serial_step.total_utility_bits);
     }
+    EXPECT_EQ(concurrent.scheduler->total_cost_spent(),
+              serial.scheduler->total_cost_spent());
+    // Both runs log every Select() they actually ran.
+    EXPECT_EQ(concurrent.scheduler->selection_compute_seconds().size(),
+              serial.scheduler->selection_compute_seconds().size())
+        << "seed " << seed;
   }
 }
 
@@ -291,12 +289,12 @@ TEST(PipelinedSchedulerTest, InFlightReservationsRespectBudget) {
 /// Regression: a selection cached under a larger k must never overspend a
 /// budget that is not a multiple of tasks_per_step (stale-k cache bug).
 TEST(PipelinedSchedulerTest, NonMultipleBudgetIsNeverOverspent) {
-  for (const bool pipelined : {false, true}) {
+  for (const int max_in_flight : {1, 4}) {
     GreedySelector selector;
     BudgetScheduler::Options options;
     options.total_budget = 7;  // not a multiple of tasks_per_step
     options.tasks_per_step = 2;
-    options.max_in_flight = 4;
+    options.max_in_flight = max_in_flight;
     auto scheduler =
         BudgetScheduler::Create(MakeCrowd(0.8), &selector, options);
     ASSERT_TRUE(scheduler.ok());
@@ -314,16 +312,16 @@ TEST(PipelinedSchedulerTest, NonMultipleBudgetIsNeverOverspent) {
                                     crowds[static_cast<size_t>(i)].get())
                       .ok());
     }
-    auto records = pipelined ? scheduler->RunPipelined() : scheduler->Run();
+    auto records = scheduler->RunPipelined();
     ASSERT_TRUE(records.ok());
     EXPECT_EQ(scheduler->total_cost_spent(), 7)
-        << (pipelined ? "pipelined" : "blocking");
+        << "max_in_flight " << max_in_flight;
   }
 }
 
-/// Regression: a pipelined run aborted with tickets still outstanding must
-/// not leave instances stuck in_flight — a later blocking run has to
-/// schedule them again (and the abandoned tickets must be released).
+/// Regression: a run aborted with tickets still outstanding must not leave
+/// instances stuck in_flight — a later run has to cancel the abandoned
+/// tickets and schedule those instances again.
 TEST(PipelinedSchedulerTest, BlockingRunRecoversAfterAbortedPipelinedRun) {
   ManualClock clock;
   GreedySelector selector;
@@ -337,7 +335,8 @@ TEST(PipelinedSchedulerTest, BlockingRunRecoversAfterAbortedPipelinedRun) {
   ASSERT_TRUE(scheduler.ok());
 
   // Instance 0: highest gain, slow and healthy — in flight when the run
-  // aborts. Instance 1: lower gain, fast but terminally failing.
+  // aborts. Instance 1: lower gain, instant, and its crowd fails the
+  // first collection only.
   auto healthy_joint = JointDistribution::Uniform(6);
   ASSERT_TRUE(healthy_joint.ok());
   crowd::SimulatedCrowd healthy = crowd::SimulatedCrowd::WithUniformAccuracy(
@@ -352,32 +351,29 @@ TEST(PipelinedSchedulerTest, BlockingRunRecoversAfterAbortedPipelinedRun) {
                                      &healthy)
                   .ok());
 
-  auto doomed_joint = JointDistribution::Uniform(3);
-  ASSERT_TRUE(doomed_joint.ok());
-  crowd::SimulatedCrowd doomed = crowd::SimulatedCrowd::WithUniformAccuracy(
-      {true, false, true}, 0.8, 4);
-  crowd::LatencyOptions failing_latency;
-  failing_latency.median_seconds = 1.0;
-  failing_latency.sigma = 0.0;
-  failing_latency.failure_probability = 1.0;
-  doomed.ConfigureAsync(failing_latency, &clock);
-  ASSERT_TRUE(
-      scheduler->AddInstanceAsync("doomed", std::move(doomed_joint).value(),
-                                  &doomed)
-          .ok());
+  auto flaky_joint = JointDistribution::Uniform(3);
+  ASSERT_TRUE(flaky_joint.ok());
+  ScriptedProvider flaky{ScriptedProvider::Options{
+      .script = {true, false, true}, .failures_before_success = 1}};
+  ASSERT_TRUE(scheduler
+                  ->AddInstance("flaky", std::move(flaky_joint).value(),
+                                static_cast<AnswerProvider*>(&flaky))
+                  .ok());
 
-  // Healthy (higher gain) launches first and is pending for 50s; doomed
-  // launches second, fails at t=1, and aborts the run with healthy still
+  // Healthy (higher gain) launches first and is pending for 50s; flaky
+  // launches second, fails at once, and aborts the run with healthy still
   // in flight.
   auto aborted = scheduler->RunPipelined();
   ASSERT_FALSE(aborted.ok());
+  EXPECT_EQ(aborted.status().code(), common::StatusCode::kUnavailable);
 
-  // Blocking step must pick the healthy instance again, not skip it as
-  // "in flight" and not die on the doomed one.
-  auto step = scheduler->RunStep();
-  ASSERT_TRUE(step.ok()) << step.status().ToString();
-  EXPECT_EQ(step->instance, 0);
-  EXPECT_FALSE(step->tasks.empty());
+  // The second run must drop the abandoned ticket, schedule the healthy
+  // instance again rather than skip it as "in flight", and spend the
+  // whole budget.
+  auto rerun = scheduler->RunPipelined();
+  ASSERT_TRUE(rerun.ok()) << rerun.status();
+  EXPECT_EQ(scheduler->total_cost_spent(), 8);
+  EXPECT_GT(scheduler->cost_spent(0), 0);
 }
 
 /// A terminally failing ticket aborts the pipelined run with its status.

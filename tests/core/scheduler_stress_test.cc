@@ -81,7 +81,7 @@ TEST(BudgetSchedulerStressTest, MixedSizesUnderOneGlobalBudget) {
   ASSERT_EQ(scheduler->num_instances(), num_instances);
   ASSERT_GE(num_instances, 50);
 
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok()) << records.status().ToString();
   ASSERT_FALSE(records->empty());
 

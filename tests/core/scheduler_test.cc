@@ -69,19 +69,14 @@ TEST(BudgetSchedulerTest, AddInstanceValidates) {
   EXPECT_EQ(scheduler->num_instances(), 1);
 }
 
-TEST(BudgetSchedulerTest, RunStepRequiresBudgetAndInstances) {
+TEST(BudgetSchedulerTest, RunPipelinedRequiresInstances) {
   const CrowdModel crowd = MakeCrowd(0.8);
   GreedySelector selector;
   BudgetScheduler::Options options;
-  options.total_budget = 0;
-  auto empty = BudgetScheduler::Create(crowd, &selector, options);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_EQ(empty->RunStep().status().code(),
-            StatusCode::kFailedPrecondition);
   options.total_budget = 5;
   auto no_instances = BudgetScheduler::Create(crowd, &selector, options);
   ASSERT_TRUE(no_instances.ok());
-  EXPECT_EQ(no_instances->RunStep().status().code(),
+  EXPECT_EQ(no_instances->RunPipelined().status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -105,7 +100,7 @@ TEST(BudgetSchedulerTest, PrefersTheUncertainInstance) {
   ASSERT_TRUE(
       scheduler->AddInstance("uncertain", UniformJoint(3), &provider_b).ok());
 
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   ASSERT_FALSE(records->empty());
   for (const auto& record : *records) {
@@ -131,7 +126,7 @@ TEST(BudgetSchedulerTest, SpendsFullBudgetAcrossInstances) {
                   .ok());
   ASSERT_TRUE(
       scheduler->AddInstance("b", UniformJoint(4), &provider_b).ok());
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(scheduler->total_cost_spent(), 12);
   EXPECT_EQ(scheduler->cost_spent(0) + scheduler->cost_spent(1), 12);
@@ -149,7 +144,7 @@ TEST(BudgetSchedulerTest, UtilityIncreasesWithTruthfulAnswers) {
                   ->AddInstance("book", RunningExample::Joint(), &provider)
                   .ok());
   const double before = scheduler->TotalUtilityBits();
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   EXPECT_GT(scheduler->TotalUtilityBits(), before + 2.0);
 }
@@ -166,7 +161,7 @@ TEST(BudgetSchedulerTest, StopsWhenNoGainAnywhere) {
   ASSERT_TRUE(point.ok());
   OracleProvider provider(0b101);
   ASSERT_TRUE(scheduler->AddInstance("done", *point, &provider).ok());
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 1u);
   EXPECT_EQ(records->front().instance, -1);
@@ -197,7 +192,7 @@ TEST(BudgetSchedulerTest, StarvedBooksGetBudgetUnderGlobalAllocation) {
                                   providers.back().get())
                     .ok());
   }
-  auto records = scheduler->Run();
+  auto records = scheduler->RunPipelined();
   ASSERT_TRUE(records.ok());
   // Uniform split would give 10 each; the big book should get well beyond.
   EXPECT_GT(scheduler->cost_spent(0), 15);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/math_util.h"
 #include "common/random.h"
 #include "core/running_example.h"
@@ -41,6 +43,37 @@ TEST(UtilityTest, ExpectedQualityGainFormula) {
   const double expected = TaskEntropyBits(joint, tasks, crowd) -
                           2.0 * crowd.EntropyBits();
   EXPECT_NEAR(ExpectedQualityGain(joint, tasks, crowd), expected, 1e-12);
+}
+
+TEST(UtilityTest, GainIsTheInformationTheAnswersCarry) {
+  // ΔQ equals the mutual information I(F; Ans^T) between the facts and
+  // the crowd's answers (Section III-B), so it obeys information bounds.
+  const JointDistribution joint = RunningExample::Joint();
+  const std::vector<int> none;
+  const std::vector<int> all = {0, 1, 2, 3};
+  EXPECT_NEAR(ExpectedQualityGain(joint, none, MakeCrowd(0.8)), 0.0, 1e-12);
+  // A coin-flip crowd tells nothing; a perfect one asked about every fact
+  // removes all uncertainty.
+  EXPECT_NEAR(ExpectedQualityGain(joint, all, MakeCrowd(0.5)), 0.0, 1e-9);
+  EXPECT_NEAR(ExpectedQualityGain(joint, all, MakeCrowd(1.0)),
+              joint.EntropyBits(), 1e-9);
+  // Never negative, never more than the joint's entropy.
+  const std::vector<int> five = {0, 1, 2, 3, 4};
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    const JointDistribution random = RandomJoint(5, seed);
+    const double gain = ExpectedQualityGain(random, five, MakeCrowd(0.85));
+    EXPECT_GE(gain, 0.0);
+    EXPECT_LE(gain, random.EntropyBits() + 1e-9);
+  }
+  // A more accurate crowd is worth at least as much.
+  const std::vector<int> pair = {0, 1};
+  for (double pc : {0.5, 0.6, 0.7, 0.8, 0.9}) {
+    EXPECT_LE(ExpectedQualityGain(joint, pair, MakeCrowd(pc)),
+              ExpectedQualityGain(joint, pair,
+                                  MakeCrowd(std::min(1.0, pc + 0.1))) +
+                  1e-9)
+        << "pc " << pc;
+  }
 }
 
 TEST(UtilityTest, GainPositiveWhileUncertaintyRemains) {

@@ -148,6 +148,39 @@ TEST(AdversaryModelTest, SybilsReplayOneMasterAnswerPerFact) {
   }
 }
 
+TEST(AdversaryModelTest, MixedPoolLogShowsEachRolesAccuracy) {
+  // A half-spammer pool: workers 0-2 spam, 3-5 stay honest. Scored from
+  // the judgment log, spammers sit at a coin flip and honest workers at
+  // the bias table's accuracy.
+  core::AdversarySpec spec = EnabledSpec();
+  spec.num_workers = 6;
+  spec.spammer_fraction = 0.5;
+  spec.seed = 77;
+  const auto model = MustCreate(spec);
+  const WorkerBias bias = WorkerBias::Uniform(0.85);
+  const int kTasks = 400;
+  for (int t = 0; t < kTasks; ++t) {
+    for (int w = 0; w < spec.num_workers; ++w) {
+      (void)model->JudgeAs(w, t, t % 2 == 0, data::StatementCategory::kClean,
+                           bias);
+    }
+  }
+  std::vector<int> correct(static_cast<size_t>(spec.num_workers), 0);
+  for (const AdversaryModel::Judgment& entry : model->log()) {
+    if (entry.answer == entry.truth) {
+      ++correct[static_cast<size_t>(entry.worker)];
+    }
+  }
+  for (int w = 0; w < spec.num_workers; ++w) {
+    const bool spammer = w < 3;
+    ASSERT_EQ(model->role(w),
+              spammer ? AdversaryRole::kSpammer : AdversaryRole::kHonest);
+    EXPECT_NEAR(static_cast<double>(correct[static_cast<size_t>(w)]) / kTasks,
+                spammer ? 0.5 : 0.85, 0.08)
+        << "worker " << w;
+  }
+}
+
 TEST(AdversaryModelTest, SpammersIgnoreTheTruth) {
   core::AdversarySpec spec = EnabledSpec();
   spec.num_workers = 2;

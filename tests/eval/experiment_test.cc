@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace crowdfusion::eval {
 namespace {
 
@@ -57,6 +60,37 @@ TEST(ExperimentTest, GreedyBeatsRandom) {
   ASSERT_TRUE(random.ok());
   // At equal (small) budget, greedy utility should dominate.
   EXPECT_GT(greedy->final_utility_bits, random->final_utility_bits);
+}
+
+TEST(ExperimentTest, GreedyBeatsRandomAcrossCrowdSeeds) {
+  // The same claim averaged over crowd seeds rather than one run; the
+  // seeds must actually change the runs.
+  ExperimentOptions options;
+  options.dataset.num_books = 8;
+  options.dataset.num_sources = 10;
+  options.dataset.seed = 15;
+  options.budget_per_book = 10;
+  options.tasks_per_round = 2;
+  const uint64_t base_seed = options.crowd_seed;
+  double greedy_total = 0.0;
+  double random_total = 0.0;
+  std::vector<double> greedy_runs;
+  for (uint64_t r = 0; r < 5; ++r) {
+    options.crowd_seed = base_seed + r;
+    options.selector = SelectorKind::kGreedyPrunePre;
+    auto greedy = RunExperiment(options);
+    options.selector = SelectorKind::kRandom;
+    auto random = RunExperiment(options);
+    ASSERT_TRUE(greedy.ok()) << greedy.status();
+    ASSERT_TRUE(random.ok()) << random.status();
+    greedy_total += greedy->final_utility_bits;
+    random_total += random->final_utility_bits;
+    greedy_runs.push_back(greedy->final_utility_bits);
+  }
+  EXPECT_GT(greedy_total, random_total);
+  EXPECT_NE(std::count(greedy_runs.begin(), greedy_runs.end(),
+                       greedy_runs.front()),
+            static_cast<std::ptrdiff_t>(greedy_runs.size()));
 }
 
 TEST(ExperimentTest, AllSelectorsRunEndToEnd) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.h"
 #include "fusion/accu.h"
 #include "fusion/crh.h"
@@ -80,6 +83,9 @@ TEST(MajorityVoteTest, SharesReflectVotes) {
     EXPECT_GT(result.value_probability[static_cast<size_t>(values[0])],
               result.value_probability[static_cast<size_t>(values[1])]);
   }
+  // One source, one vote: every source weighs the same.
+  ASSERT_EQ(result.source_weight.size(), 4u);
+  for (double weight : result.source_weight) EXPECT_EQ(weight, 1.0);
 }
 
 TEST(MajorityVoteTest, SmoothingKeepsProbabilitiesInterior) {
@@ -103,6 +109,27 @@ TEST(CrhTest, DownWeightsUnreliableSources) {
           << "careful " << careful << " vs copier " << copier;
     }
   }
+
+  // Graded reliability: sources 0 and 3 always right, source 1 right on
+  // even entities, source 2 always wrong. (Two honest sources, so the
+  // majority vote CRH starts from already sides with the truth.) The
+  // learned weights must rank the sources by accuracy.
+  ClaimDatabase graded;
+  for (int s = 0; s < 4; ++s) graded.AddSource("s" + std::to_string(s));
+  for (int e = 0; e < 4; ++e) {
+    graded.AddEntity("e" + std::to_string(e));
+    const int good = graded.AddValue(e, "good").value();
+    const int bad = graded.AddValue(e, "bad").value();
+    EXPECT_TRUE(graded.AddClaim(0, good).ok());
+    EXPECT_TRUE(graded.AddClaim(1, e % 2 == 0 ? good : bad).ok());
+    EXPECT_TRUE(graded.AddClaim(2, bad).ok());
+    EXPECT_TRUE(graded.AddClaim(3, good).ok());
+  }
+  const std::vector<double> weight =
+      FuseOrDie<CrhFuser>(graded).source_weight;
+  ASSERT_EQ(weight.size(), 4u);
+  EXPECT_GT(std::min(weight[0], weight[3]), weight[1]);
+  EXPECT_GT(weight[1], weight[2]);
 }
 
 TEST(CrhTest, BeatsMajorityVoteOnCopiedLies) {

@@ -9,7 +9,6 @@
 #include "core/greedy_selector.h"
 #include "crowd/simulated_crowd.h"
 #include "eval/metrics.h"
-#include "eval/replication.h"
 
 namespace crowdfusion {
 namespace {

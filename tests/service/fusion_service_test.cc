@@ -183,6 +183,41 @@ TEST(FusionServiceTest, ScriptedProviderServesAllThreeModes) {
   }
 }
 
+TEST(FusionServiceTest, FailedStepCanBeRetriedWithoutLosingBudget) {
+  // The crowd fails its first collection only. The step that hit it
+  // errors; stepping again must still spend the whole budget, with no
+  // exhaustion marker (a leaked reservation would end the run one task
+  // short and emit one).
+  for (const RunMode mode : {RunMode::kBlocking, RunMode::kPipelined}) {
+    SCOPED_TRACE(RunModeName(mode));
+    FusionService service;
+    FusionRequest request = RunningExampleRequest();
+    request.mode = mode;
+    request.provider = core::ProviderSpec{};
+    request.provider.kind = "scripted";
+    request.provider.failures_before_success = 1;
+    request.budget.budget_per_instance = 4;
+    request.budget.tasks_per_step = 1;
+    auto session = service.CreateSession(request);
+    ASSERT_TRUE(session.ok()) << session.status();
+
+    int failures = 0;
+    for (int attempt = 0; attempt < 16 && !(*session)->done(); ++attempt) {
+      auto outcomes = (*session)->Step();
+      if (!outcomes.ok()) {
+        EXPECT_EQ(outcomes.status().code(), StatusCode::kUnavailable);
+        ++failures;
+      }
+    }
+    ASSERT_TRUE((*session)->done());
+    EXPECT_EQ(failures, 1);
+    EXPECT_EQ((*session)->total_cost_spent(), 4);
+    for (const StepOutcome& outcome : (*session)->steps()) {
+      EXPECT_GE(outcome.instance, 0) << "spurious exhaustion marker";
+    }
+  }
+}
+
 TEST(FusionServiceTest, PipelinedSkipInstancePolicySkipsOnlyTheFailingBook) {
   // Two instances: one served by a provider that always fails, one
   // healthy. kAbort kills the run; kSkipInstance serves the healthy book.

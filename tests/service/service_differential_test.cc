@@ -1,13 +1,15 @@
-/// The facade's zero-behavior-change pin (ISSUE 4 acceptance): across 32
-/// seeds, FusionService-built runs reproduce the corresponding direct-API
-/// runs bit-for-bit — engine mode against hand-wired CrowdFusionEngines,
-/// blocking mode against BudgetScheduler::Run, pipelined mode against
-/// BudgetScheduler::RunPipelined — on records, answers, utilities, and
-/// final joints. The service must add an API, not a behavior.
+/// The facade's zero-behavior-change pin: across 32 seeds, FusionService-
+/// built runs reproduce the corresponding direct-API runs bit-for-bit —
+/// engine mode against hand-wired CrowdFusionEngines, pipelined mode
+/// against BudgetScheduler::RunPipelined, and blocking mode against the
+/// frozen output of the blocking scheduler loop it replaced — on records,
+/// answers, utilities, and final joints. The service must add an API, not
+/// a behavior.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -16,9 +18,15 @@
 #include "crowd/simulated_crowd.h"
 #include "service/fusion_service.h"
 #include "service/request_json.h"
+#include "../core/scheduler_golden.h"
 
 namespace crowdfusion::service {
 namespace {
+
+// Injected by tests/service/CMakeLists.txt.
+#ifndef CROWDFUSION_SCHEDULER_GOLDEN_DIR
+#error "CROWDFUSION_SCHEDULER_GOLDEN_DIR must be defined by the build"
+#endif
 
 constexpr int kSeeds = 32;
 constexpr double kPc = 0.8;
@@ -213,7 +221,7 @@ void ExpectStepRecordsEqual(
   }
 }
 
-/// Direct scheduler fixture shared by the blocking and pipelined pins.
+/// Direct scheduler fixture for the pipelined pin.
 struct DirectSchedulerRun {
   std::vector<std::unique_ptr<crowd::SimulatedCrowd>> crowds;
   std::unique_ptr<core::GreedySelector> selector;
@@ -243,21 +251,47 @@ DirectSchedulerRun MakeDirectScheduler(const Workload& workload) {
 }
 
 TEST(ServiceDifferentialTest, BlockingModeReproducesSchedulerRun) {
+  // The golden is what the blocking scheduler loop produced directly on
+  // each seed's workload (MakeDirectScheduler, then the loop).
+  const std::vector<core::golden::Run> goldens = core::golden::Load(
+      std::string(CROWDFUSION_SCHEDULER_GOLDEN_DIR) +
+      "/blocking_service_runs.txt");
+  ASSERT_EQ(goldens.size(), static_cast<size_t>(kSeeds))
+      << "missing or malformed golden";
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const core::golden::Run& expected = goldens[seed - 1];
+    ASSERT_EQ(expected.seed, seed);
     const Workload workload = MakeWorkload(seed);
-    DirectSchedulerRun direct = MakeDirectScheduler(workload);
-    auto direct_records = direct.scheduler->Run();
-    ASSERT_TRUE(direct_records.ok()) << "seed " << seed;
-
     const std::unique_ptr<Session> session =
         RunService(MakeRequest(workload, RunMode::kBlocking), seed);
-    ExpectStepRecordsEqual(*direct_records, session->steps(), seed);
+
+    const std::vector<StepOutcome>& served = session->steps();
+    ASSERT_EQ(served.size(), expected.steps.size()) << "seed " << seed;
+    for (size_t i = 0; i < served.size(); ++i) {
+      const core::golden::Step& want = expected.steps[i];
+      EXPECT_EQ(want.step, served[i].step) << "seed " << seed;
+      EXPECT_EQ(want.instance, served[i].instance) << "seed " << seed;
+      EXPECT_EQ(want.tasks, served[i].tasks) << "seed " << seed;
+      EXPECT_EQ(want.answers, served[i].answers) << "seed " << seed;
+      EXPECT_EQ(want.expected_gain_bits, served[i].expected_gain_bits)
+          << "seed " << seed;
+      EXPECT_EQ(want.total_utility_bits, served[i].utility_bits)
+          << "seed " << seed;
+      EXPECT_EQ(want.cumulative_cost, served[i].cumulative_cost)
+          << "seed " << seed;
+    }
+    ASSERT_EQ(static_cast<size_t>(session->num_instances()),
+              expected.instances.size())
+        << "seed " << seed;
     for (int i = 0; i < session->num_instances(); ++i) {
-      EXPECT_EQ(direct.scheduler->joint(i), session->joint(i))
+      EXPECT_EQ(expected.instances[static_cast<size_t>(i)].joint,
+                session->joint(i))
+          << "seed " << seed << " instance " << i;
+      EXPECT_EQ(expected.instances[static_cast<size_t>(i)].cost_spent,
+                session->cost_spent(i))
           << "seed " << seed << " instance " << i;
     }
-    EXPECT_EQ(direct.scheduler->total_cost_spent(),
-              session->total_cost_spent())
+    EXPECT_EQ(expected.total_cost_spent, session->total_cost_spent())
         << "seed " << seed;
   }
 }
