@@ -3,7 +3,7 @@
 /// bookstore dataset (the Book dataset substitute), fuses it with the
 /// modified CRH framework, builds correlation-aware joints, and refines
 /// every book against a simulated crowd — then runs the SAME typed
-/// request on all three backends (per-book engines, the blocking global
+/// request on all three backends (per-book schedulers, the blocking global
 /// scheduler, the pipelined scheduler) to show they are one API. Also
 /// demonstrates dataset persistence (TSV save/load) and the quality-vs-
 /// cost curves via the (service-backed) experiment harness.
@@ -72,9 +72,9 @@ int main(int argc, char** argv) {
   statements.Print(std::cout);
   std::printf("\n");
 
-  // One request, three backends: the same typed FusionRequest runs on the
-  // per-book engine loop, the blocking global scheduler, and the
-  // pipelined scheduler — only `mode` changes.
+  // One request, three backends: the same typed FusionRequest runs on
+  // per-book schedulers, the blocking global scheduler, and the pipelined
+  // scheduler — only `mode` changes.
   service::FusionRequest request;
   service::DatasetSpec workload;
   workload.generate = options.dataset;

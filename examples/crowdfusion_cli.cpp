@@ -13,8 +13,8 @@
 ///                   [--latency-ms S] [--skip-failed]
 ///       run CrowdFusion rounds on every saved joint through the service
 ///       facade (simulated crowd seeded from the gold labels) and rewrite
-///       the refined joints. Default: engine mode, one blocking engine
-///       per book. --async serves every book from ONE pipelined
+///       the refined joints. Default: engine mode, one one-ticket
+///       scheduler per book. --async serves every book from ONE pipelined
 ///       BudgetScheduler (global budget = budget x books, up to M ticket
 ///       batches in flight, crowd latency simulated at S ms median);
 ///       --skip-failed keeps serving when a ticket fails terminally
@@ -253,7 +253,7 @@ int CmdRefine(int argc, char** argv) {
 
   // One typed request: the workload is the saved joints, the provider a
   // simulated crowd judging each book's gold labels; the mode flag flips
-  // between the blocking engine loop and the pipelined scheduler.
+  // between per-book engine mode and the pipelined scheduler.
   service::FusionRequest request;
   request.mode =
       use_async ? service::RunMode::kPipelined : service::RunMode::kEngine;

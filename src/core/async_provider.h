@@ -11,9 +11,22 @@
 
 #include "common/clock.h"
 #include "common/status.h"
-#include "core/crowdfusion.h"
 
 namespace crowdfusion::core {
+
+/// Source of crowd answers for selected tasks, answering synchronously.
+/// The production implementation is crowd::SimulatedCrowd (the gMission
+/// substitute); tests use scripted providers. Serving runs on the
+/// asynchronous (ticketed) AsyncAnswerProvider below; any blocking
+/// provider is lifted to it with SyncProviderAdapter.
+class AnswerProvider {
+ public:
+  virtual ~AnswerProvider() = default;
+
+  /// Returns the crowd's true/false judgment for each asked fact, in order.
+  virtual common::Result<std::vector<bool>> CollectAnswers(
+      std::span<const int> fact_ids) = 0;
+};
 
 /// Handle to one in-flight batch of crowd tasks.
 using TicketId = int64_t;

@@ -11,7 +11,6 @@
 #include "common/registry.h"
 #include "common/status.h"
 #include "core/async_provider.h"
-#include "core/crowdfusion.h"
 #include "core/task_selector.h"
 
 namespace crowdfusion::core {

@@ -145,9 +145,9 @@ common::Status BudgetScheduler::RefreshStaleSelectionsConcurrently(int k) {
 }
 
 common::Result<int> BudgetScheduler::PickBestIdleInstance(int k) {
-  // Debug guard on the borrow contract (see EngineOptions): the selector
-  // and every instance provider are borrowed and must outlive the
-  // scheduler, including while tickets are in flight.
+  // Debug guard on the borrow contract: the selector and every instance
+  // provider are borrowed and must outlive the scheduler, including while
+  // tickets are in flight.
   CF_DCHECK(selector_ != nullptr) << "selector destroyed under the scheduler";
   // Refresh every stale idle selection concurrently when the selector
   // permits; the serial sweep below then runs on warm caches.
@@ -191,6 +191,7 @@ common::Status BudgetScheduler::SubmitSelection(Instance& instance,
                                                 double now) {
   CF_DCHECK(!instance.in_flight);
   instance.pending_tasks = instance.cached_selection.tasks;
+  instance.pending_entropy_bits = instance.cached_selection.entropy_bits;
   instance.pending_gain_bits =
       instance.cached_selection.entropy_bits -
       static_cast<double>(instance.pending_tasks.size()) *
@@ -212,6 +213,7 @@ common::Result<BudgetScheduler::StepRecord> BudgetScheduler::HarvestTicket(
   record.instance =
       static_cast<int>(&instance - instances_.data());
   record.tasks = instance.pending_tasks;
+  record.selected_entropy_bits = instance.pending_entropy_bits;
   record.expected_gain_bits = instance.pending_gain_bits;
   record.latency_seconds = now - instance.submitted_at;
   instance.in_flight = false;

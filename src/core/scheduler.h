@@ -8,7 +8,8 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "core/async_provider.h"
-#include "core/crowdfusion.h"
+#include "core/crowd_model.h"
+#include "core/joint_distribution.h"
 #include "core/task_selector.h"
 
 namespace crowdfusion::core {
@@ -36,7 +37,8 @@ namespace crowdfusion::core {
 /// lazily as merges land (only the merged instance's cached selection is
 /// invalidated). A window of 1 is the paper's Figure-1 loop verbatim:
 /// submit the winner's tasks, wait through the crowd's latency, merge —
-/// the service's "blocking" mode. With a zero-latency provider every
+/// the service's "blocking" mode; one such scheduler per book, each with
+/// its own budget, is its "engine" mode. With a zero-latency provider every
 /// window size gives that same schedule; with real latency, selection
 /// compute for book B overlaps answer latency for book A.
 class BudgetScheduler {
@@ -91,7 +93,10 @@ class BudgetScheduler {
     int instance = -1;
     std::vector<int> tasks;
     std::vector<bool> answers;
-    /// Expected gain that won the step, bits.
+    /// Selector's H(T) for the submitted tasks, bits (0 for the
+    /// exhaustion marker).
+    double selected_entropy_bits = 0.0;
+    /// Expected gain that won the step, H(T) - |T| * H(Crowd), bits.
     double expected_gain_bits = 0.0;
     /// Sum of Q(F) over all instances after the merge.
     double total_utility_bits = 0.0;
@@ -125,6 +130,7 @@ class BudgetScheduler {
                                        AsyncAnswerProvider* provider);
 
   int num_instances() const { return static_cast<int>(instances_.size()); }
+  int total_budget() const { return options_.total_budget; }
   bool HasBudget() const { return cost_spent_ < options_.total_budget; }
 
   /// Raises the global budget by `tasks` (>= 0) — the streaming-arrivals
@@ -199,6 +205,7 @@ class BudgetScheduler {
     bool in_flight = false;
     TicketId ticket = 0;
     std::vector<int> pending_tasks;
+    double pending_entropy_bits = 0.0;
     double pending_gain_bits = 0.0;
     double submitted_at = 0.0;
   };

@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "core/crowdfusion.h"
+#include "core/async_provider.h"
 
 namespace crowdfusion::core {
 

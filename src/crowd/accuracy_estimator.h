@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/async_provider.h"
 #include "core/crowd_model.h"
-#include "core/crowdfusion.h"
 
 namespace crowdfusion::crowd {
 

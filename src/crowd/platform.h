@@ -8,7 +8,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/async_provider.h"
-#include "core/crowdfusion.h"
 #include "crowd/adversary.h"
 #include "crowd/latency_model.h"
 #include "crowd/worker.h"

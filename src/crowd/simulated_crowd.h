@@ -7,7 +7,6 @@
 #include "common/clock.h"
 #include "common/random.h"
 #include "core/async_provider.h"
-#include "core/crowdfusion.h"
 #include "crowd/adversary.h"
 #include "crowd/latency_model.h"
 #include "crowd/worker.h"

@@ -16,6 +16,28 @@ namespace crowdfusion::service {
 
 using common::Status;
 
+namespace {
+
+/// Rejects an inline instance the schedulers would refuse, naming it.
+Status ValidateInstance(const InstanceSpec& instance) {
+  if (instance.joint.num_facts() == 0) {
+    return Status::InvalidArgument("instance \"" + instance.name +
+                                   "\" has no facts");
+  }
+  if (!instance.truths.empty() &&
+      static_cast<int>(instance.truths.size()) != instance.joint.num_facts()) {
+    return Status::InvalidArgument("instance \"" + instance.name +
+                                   "\" truths do not match its fact count");
+  }
+  if (!instance.joint.IsNormalized(1e-6)) {
+    return Status::InvalidArgument("instance \"" + instance.name +
+                                   "\" joint is not normalized");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 const char* RunModeName(RunMode mode) {
   switch (mode) {
     case RunMode::kEngine:
@@ -41,15 +63,23 @@ common::Result<RunMode> ParseRunMode(const std::string& name) {
 // Session
 // ---------------------------------------------------------------------------
 
+std::pair<const core::BudgetScheduler*, int> Session::Locate(
+    int instance) const {
+  CF_CHECK(instance >= 0 && instance < num_instances());
+  if (mode_ == RunMode::kEngine) {
+    return {&schedulers_[static_cast<size_t>(instance)], 0};
+  }
+  return {&schedulers_.front(), instance};
+}
+
 const std::string& Session::instance_name(int instance) const {
   CF_CHECK(instance >= 0 && instance < num_instances());
   return instances_[static_cast<size_t>(instance)].name;
 }
 
 const core::JointDistribution& Session::joint(int instance) const {
-  CF_CHECK(instance >= 0 && instance < num_instances());
-  if (scheduler_.has_value()) return scheduler_->joint(instance);
-  return instances_[static_cast<size_t>(instance)].engine->current();
+  const auto [scheduler, index] = Locate(instance);
+  return scheduler->joint(index);
 }
 
 const std::vector<bool>& Session::truths(int instance) const {
@@ -63,27 +93,32 @@ int Session::num_facts(int instance) const {
 }
 
 int Session::cost_spent(int instance) const {
-  CF_CHECK(instance >= 0 && instance < num_instances());
-  if (scheduler_.has_value()) return scheduler_->cost_spent(instance);
-  return instances_[static_cast<size_t>(instance)].engine->cost_spent();
+  const auto [scheduler, index] = Locate(instance);
+  return scheduler->cost_spent(index);
 }
 
 int Session::total_cost_spent() const {
-  if (scheduler_.has_value()) return scheduler_->total_cost_spent();
   int total = 0;
-  for (const Instance& instance : instances_) {
-    total += instance.engine->cost_spent();
+  for (const core::BudgetScheduler& scheduler : schedulers_) {
+    total += scheduler.total_cost_spent();
   }
   return total;
 }
 
 double Session::total_utility_bits() const {
-  if (scheduler_.has_value()) return scheduler_->TotalUtilityBits();
   double total = 0.0;
-  for (const Instance& instance : instances_) {
-    total += -instance.engine->current().EntropyBits();
+  for (const core::BudgetScheduler& scheduler : schedulers_) {
+    total += scheduler.TotalUtilityBits();
   }
   return total;
+}
+
+int Session::dead_instances() const {
+  int dead = 0;
+  for (const core::BudgetScheduler& scheduler : schedulers_) {
+    dead += scheduler.dead_instances();
+  }
+  return dead;
 }
 
 std::pair<int64_t, int64_t> Session::answers_served_correct() const {
@@ -107,103 +142,75 @@ int64_t Session::tickets_resubmitted() const {
   return total;
 }
 
-StepOutcome Session::FromRoundRecord(int instance,
-                                     const core::RoundRecord& record) {
-  StepOutcome outcome;
-  outcome.step = steps_emitted_++;
-  outcome.instance = instance;
-  outcome.round = record.round;
-  outcome.tasks = record.tasks;
-  outcome.answers = record.answers;
-  outcome.selected_entropy_bits = record.selected_entropy_bits;
-  outcome.expected_gain_bits =
-      record.tasks.empty()
-          ? 0.0
-          : record.selected_entropy_bits -
-                static_cast<double>(record.tasks.size()) *
-                    crowd_->EntropyBits();
-  outcome.utility_bits = record.utility_bits;
-  outcome.cumulative_cost = record.cumulative_cost;
-  selection_seconds_ += record.selection_stats.elapsed_seconds;
-  selection_samples_.push_back(record.selection_stats.elapsed_seconds);
-  return outcome;
-}
-
 double Session::selection_seconds() const {
-  if (!scheduler_.has_value()) return selection_seconds_;
   double total = 0.0;
-  for (double s : scheduler_->selection_compute_seconds()) total += s;
+  for (double s : selection_compute_samples()) total += s;
   return total;
 }
 
 std::vector<double> Session::selection_compute_samples() const {
-  return scheduler_.has_value() ? scheduler_->selection_compute_seconds()
-                                : selection_samples_;
+  std::vector<double> samples;
+  for (const core::BudgetScheduler& scheduler : schedulers_) {
+    const std::vector<double>& log = scheduler.selection_compute_seconds();
+    samples.insert(samples.end(), log.begin(), log.end());
+  }
+  return samples;
 }
 
 StepOutcome Session::FromStepRecord(
-    const core::BudgetScheduler::StepRecord& record) {
+    int scheduler, const core::BudgetScheduler::StepRecord& record) {
   StepOutcome outcome;
   outcome.step = steps_emitted_++;
-  outcome.instance = record.instance;
   outcome.tasks = record.tasks;
   outcome.answers = record.answers;
   outcome.expected_gain_bits = record.expected_gain_bits;
-  outcome.selected_entropy_bits =
-      record.tasks.empty()
-          ? 0.0
-          : record.expected_gain_bits +
-                static_cast<double>(record.tasks.size()) *
-                    crowd_->EntropyBits();
   outcome.utility_bits = record.total_utility_bits;
   outcome.cumulative_cost = record.cumulative_cost;
   outcome.latency_seconds = record.latency_seconds;
+  if (mode_ == RunMode::kEngine) {
+    // One book per scheduler: its steps are the book's rounds, and its
+    // exhaustion marker belongs to the book.
+    outcome.instance = scheduler;
+    outcome.round = record.step;
+    outcome.selected_entropy_bits = record.selected_entropy_bits;
+  } else {
+    outcome.instance = record.instance;
+    // Rebuilt from the gain, as the scheduler modes always reported it.
+    outcome.selected_entropy_bits =
+        record.tasks.empty()
+            ? 0.0
+            : record.expected_gain_bits +
+                  static_cast<double>(record.tasks.size()) *
+                      crowd_->EntropyBits();
+  }
   return outcome;
-}
-
-common::Result<std::vector<StepOutcome>> Session::StepEngine() {
-  // One round-robin pass: every instance that still has budget and gain
-  // runs one engine round, in registration order — exactly the global
-  // rounds eval::RunExperiment reported before this facade existed.
-  std::vector<StepOutcome> outcomes;
-  for (size_t i = 0; i < instances_.size(); ++i) {
-    Instance& instance = instances_[i];
-    if (instance.exhausted || !instance.engine->HasBudget()) continue;
-    CF_ASSIGN_OR_RETURN(const core::RoundRecord record,
-                        instance.engine->RunRound());
-    if (record.tasks.empty()) {
-      // Selector sees no gain for this instance; stop asking (K* < k).
-      instance.exhausted = true;
-    }
-    outcomes.push_back(FromRoundRecord(static_cast<int>(i), record));
-  }
-  if (outcomes.empty()) done_ = true;
-  return outcomes;
-}
-
-common::Result<std::vector<StepOutcome>> Session::StepScheduler() {
-  std::vector<core::BudgetScheduler::StepRecord> records;
-  CF_ASSIGN_OR_RETURN(const bool more, scheduler_->RunPipelinedStep(records));
-  std::vector<StepOutcome> outcomes;
-  outcomes.reserve(records.size());
-  for (const auto& record : records) {
-    outcomes.push_back(FromStepRecord(record));
-  }
-  // A spent budget leaves nothing in flight, so the run ends with this
-  // step rather than with an empty one after it.
-  if (!more || !scheduler_->HasBudget()) done_ = true;
-  return outcomes;
 }
 
 common::Result<std::vector<StepOutcome>> Session::Step() {
   if (done_) return std::vector<StepOutcome>{};
   common::Stopwatch stopwatch;
-  common::Result<std::vector<StepOutcome>> outcomes =
-      mode_ == RunMode::kEngine ? StepEngine() : StepScheduler();
+  std::vector<StepOutcome> outcomes;
+  std::vector<core::BudgetScheduler::StepRecord> records;
+  for (size_t s = 0; s < schedulers_.size(); ++s) {
+    if (!live_[s]) continue;
+    records.clear();
+    const common::Result<bool> more = schedulers_[s].RunPipelinedStep(records);
+    if (!more.ok()) {
+      wall_seconds_ += stopwatch.ElapsedSeconds();
+      return more.status();
+    }
+    for (const auto& record : records) {
+      outcomes.push_back(FromStepRecord(static_cast<int>(s), record));
+    }
+    // A spent budget leaves nothing in flight, so a scheduler finishes
+    // with this step rather than with an empty one after it.
+    if (!more.value() || !schedulers_[s].HasBudget()) live_[s] = false;
+  }
   wall_seconds_ += stopwatch.ElapsedSeconds();
-  if (!outcomes.ok()) return outcomes.status();
-  steps_.insert(steps_.end(), outcomes.value().begin(),
-                outcomes.value().end());
+  // Engine mode ends on the first pass in which no book had a round; the
+  // scheduler modes end with their one scheduler.
+  done_ = mode_ == RunMode::kEngine ? outcomes.empty() : !live_.front();
+  steps_.insert(steps_.end(), outcomes.begin(), outcomes.end());
   return outcomes;
 }
 
@@ -212,10 +219,11 @@ SessionProgress Session::Poll() const {
   progress.done = done_;
   progress.steps_completed = static_cast<int>(steps_.size());
   progress.total_cost_spent = total_cost_spent();
-  progress.total_budget = total_budget_;
+  for (const core::BudgetScheduler& scheduler : schedulers_) {
+    progress.total_budget += scheduler.total_budget();
+  }
   progress.total_utility_bits = total_utility_bits();
-  progress.dead_instances =
-      scheduler_.has_value() ? scheduler_->dead_instances() : 0;
+  progress.dead_instances = dead_instances();
   return progress;
 }
 
@@ -226,20 +234,19 @@ FusionResponse Session::Finish() const {
   response.steps = steps_;
   response.total_cost_spent = total_cost_spent();
   response.total_utility_bits = total_utility_bits();
-  response.dead_instances =
-      scheduler_.has_value() ? scheduler_->dead_instances() : 0;
+  response.dead_instances = dead_instances();
 
   response.instances.reserve(instances_.size());
   for (size_t i = 0; i < instances_.size(); ++i) {
+    const auto [scheduler, index] = Locate(static_cast<int>(i));
     InstanceReport report;
     report.name = instances_[i].name;
-    report.final_joint = joint(static_cast<int>(i));
+    report.final_joint = scheduler->joint(index);
     report.final_marginals = report.final_joint.Marginals();
     report.utility_bits = -report.final_joint.EntropyBits();
-    report.cost_spent = cost_spent(static_cast<int>(i));
+    report.cost_spent = scheduler->cost_spent(index);
     report.num_facts = instances_[i].num_facts;
-    report.dead = scheduler_.has_value() &&
-                  scheduler_->instance_dead(static_cast<int>(i));
+    report.dead = scheduler->instance_dead(index);
     response.instances.push_back(std::move(report));
   }
 
@@ -305,17 +312,7 @@ common::Result<std::vector<InstanceSpec>> FusionService::BuildWorkload(
   if (!request.instances.empty()) {
     std::vector<InstanceSpec> instances = std::move(request.instances);
     for (const InstanceSpec& instance : instances) {
-      if (instance.joint.num_facts() == 0) {
-        return Status::InvalidArgument("instance \"" + instance.name +
-                                       "\" has no facts");
-      }
-      if (!instance.truths.empty() &&
-          static_cast<int>(instance.truths.size()) !=
-              instance.joint.num_facts()) {
-        return Status::InvalidArgument(
-            "instance \"" + instance.name +
-            "\" truths do not match its fact count");
-      }
+      CF_RETURN_IF_ERROR(ValidateInstance(instance));
     }
     return instances;
   }
@@ -405,109 +402,110 @@ common::Result<std::unique_ptr<Session>> FusionService::CreateSession(
                       selectors_.Create(request.selector.kind,
                                         request.selector));
 
-  const int num_instances = static_cast<int>(workload.size());
-  const int total_budget =
-      request.budget.total_budget > 0
-          ? request.budget.total_budget
-          : request.budget.budget_per_instance * num_instances;
-  session->total_budget_ = request.mode == RunMode::kEngine
-                               ? request.budget.budget_per_instance *
-                                     num_instances
-                               : total_budget;
-
+  // Every mode serves through BudgetScheduler's pipelined step. Engine
+  // and blocking mode run a one-ticket window that aborts on a failed
+  // ticket; engine mode gives each instance a scheduler of its own
+  // holding budget_per_instance (built as instances bind).
+  const bool pipelined = request.mode == RunMode::kPipelined;
+  core::BudgetScheduler::Options& options = session->scheduler_options_;
+  if (request.mode == RunMode::kEngine) {
+    options.total_budget = request.budget.budget_per_instance;
+  } else if (request.budget.total_budget > 0) {
+    options.total_budget = request.budget.total_budget;
+  } else {
+    options.total_budget = request.budget.budget_per_instance *
+                           static_cast<int>(workload.size());
+  }
+  options.tasks_per_step = request.budget.tasks_per_step;
+  options.max_in_flight = pipelined ? request.pipeline.max_in_flight : 1;
+  options.ticket.max_attempts = request.pipeline.ticket_max_attempts;
+  options.ticket.deadline_seconds = request.pipeline.ticket_deadline_seconds;
+  options.ticket.retry_backoff_seconds = request.pipeline.retry_backoff_seconds;
+  options.on_ticket_failure =
+      pipelined ? request.pipeline.on_ticket_failure
+                : core::BudgetScheduler::TicketFailurePolicy::kAbort;
+  options.max_poll_seconds = request.pipeline.max_poll_seconds;
+  options.concurrent_selection = request.pipeline.concurrent_selection;
+  options.clock = config_.clock;
   if (request.mode != RunMode::kEngine) {
-    core::BudgetScheduler::Options options;
-    options.total_budget = total_budget;
-    options.tasks_per_step = request.budget.tasks_per_step;
-    // Blocking is the same loop with a one-ticket window that aborts on a
-    // failed ticket.
-    const bool blocking = request.mode == RunMode::kBlocking;
-    options.max_in_flight = blocking ? 1 : request.pipeline.max_in_flight;
-    options.ticket.max_attempts = request.pipeline.ticket_max_attempts;
-    options.ticket.deadline_seconds =
-        request.pipeline.ticket_deadline_seconds;
-    options.ticket.retry_backoff_seconds =
-        request.pipeline.retry_backoff_seconds;
-    options.on_ticket_failure =
-        blocking ? core::BudgetScheduler::TicketFailurePolicy::kAbort
-                 : request.pipeline.on_ticket_failure;
-    options.max_poll_seconds = request.pipeline.max_poll_seconds;
-    options.concurrent_selection = request.pipeline.concurrent_selection;
-    options.clock = config_.clock;
     CF_ASSIGN_OR_RETURN(core::BudgetScheduler scheduler,
                         core::BudgetScheduler::Create(
                             crowd, session->selector_.get(), options));
-    session->scheduler_.emplace(std::move(scheduler));
+    session->schedulers_.push_back(std::move(scheduler));
+    session->live_.push_back(true);
   }
 
-  // Bind one provider per instance from the request's template: fill the
-  // instance's gold labels and derive per-instance seeds, then build
-  // through the registry. The session owns every provider handle, so the
-  // engine/scheduler borrow contracts hold by construction.
   session->provider_template_ = request.provider;
-  session->budget_ = request.budget;
   session->providers_ = &providers_;
-  for (int index = 0; index < num_instances; ++index) {
-    CF_RETURN_IF_ERROR(session->BindInstance(
-        std::move(workload[static_cast<size_t>(index)])));
-  }
+  CF_RETURN_IF_ERROR(session->BindInstances(std::move(workload)));
   return session;
 }
 
-common::Status Session::BindInstance(InstanceSpec spec) {
-  const int index = next_seed_index_++;
-  Instance instance;
-  instance.name = spec.name.empty()
-                      ? common::StrFormat("instance-%d", index)
-                      : spec.name;
-  instance.truths = spec.truths;
-  instance.num_facts = spec.joint.num_facts();
+common::Status Session::BindInstances(std::vector<InstanceSpec> specs) {
+  // Bind one provider per instance from the request's template: fill the
+  // instance's gold labels and derive per-instance seeds, then build
+  // through the registry. The session owns every provider handle, so the
+  // scheduler borrow contracts hold by construction. Everything that can
+  // fail runs before the first instance is registered.
+  std::vector<Instance> bound;
+  std::vector<core::BudgetScheduler> engine_schedulers;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const InstanceSpec& spec = specs[i];
+    CF_RETURN_IF_ERROR(ValidateInstance(spec));
+    const int index = next_seed_index_ + static_cast<int>(i);
+    Instance instance;
+    instance.name = spec.name.empty()
+                        ? common::StrFormat("instance-%d", index)
+                        : spec.name;
+    instance.truths = spec.truths;
+    instance.num_facts = spec.joint.num_facts();
 
-  core::ProviderSpec provider_spec = provider_template_;
-  if (provider_spec.truths.empty()) {
-    provider_spec.truths = spec.truths;
-    provider_spec.categories = spec.categories;
-  }
-  provider_spec.seed =
-      provider_template_.seed + static_cast<uint64_t>(index);
-  provider_spec.latency_seed =
-      provider_template_.latency_seed + static_cast<uint64_t>(index);
-  provider_spec.adversary.seed =
-      provider_template_.adversary.seed + static_cast<uint64_t>(index);
-  CF_ASSIGN_OR_RETURN(instance.provider,
-                      providers_->Create(provider_spec.kind, provider_spec));
-
-  if (mode_ == RunMode::kEngine) {
-    if (instance.provider.sync == nullptr) {
-      return Status::InvalidArgument(
-          "provider \"" + provider_spec.kind +
-          "\" has no synchronous interface; engine mode needs one");
+    core::ProviderSpec provider_spec = provider_template_;
+    if (provider_spec.truths.empty()) {
+      provider_spec.truths = spec.truths;
+      provider_spec.categories = spec.categories;
     }
-    core::EngineOptions options;
-    options.budget = budget_.budget_per_instance;
-    options.tasks_per_round = budget_.tasks_per_step;
-    CF_ASSIGN_OR_RETURN(
-        core::CrowdFusionEngine engine,
-        core::CrowdFusionEngine::Create(std::move(spec.joint), *crowd_,
-                                        selector_.get(),
-                                        instance.provider.sync, options));
-    instance.engine.emplace(std::move(engine));
-  } else if (instance.provider.async != nullptr) {
-    CF_RETURN_IF_ERROR(scheduler_
-                           ->AddInstanceAsync(instance.name,
-                                              std::move(spec.joint),
-                                              instance.provider.async)
-                           .status());
-  } else if (instance.provider.sync != nullptr) {
-    CF_RETURN_IF_ERROR(scheduler_
-                           ->AddInstance(instance.name, std::move(spec.joint),
-                                         instance.provider.sync)
-                           .status());
-  } else {
-    return Status::Internal("provider \"" + provider_spec.kind +
-                            "\" produced no usable interface");
+    provider_spec.seed =
+        provider_template_.seed + static_cast<uint64_t>(index);
+    provider_spec.latency_seed =
+        provider_template_.latency_seed + static_cast<uint64_t>(index);
+    provider_spec.adversary.seed =
+        provider_template_.adversary.seed + static_cast<uint64_t>(index);
+    CF_ASSIGN_OR_RETURN(instance.provider,
+                        providers_->Create(provider_spec.kind, provider_spec));
+    if (instance.provider.async == nullptr &&
+        instance.provider.sync == nullptr) {
+      return Status::Internal("provider \"" + provider_spec.kind +
+                              "\" produced no usable interface");
+    }
+    if (mode_ == RunMode::kEngine) {
+      CF_ASSIGN_OR_RETURN(core::BudgetScheduler scheduler,
+                          core::BudgetScheduler::Create(
+                              *crowd_, selector_.get(), scheduler_options_));
+      engine_schedulers.push_back(std::move(scheduler));
+    }
+    bound.push_back(std::move(instance));
   }
-  instances_.push_back(std::move(instance));
+
+  // Commit. Registration cannot fail on a validated joint.
+  for (size_t i = 0; i < bound.size(); ++i) {
+    if (mode_ == RunMode::kEngine) {
+      schedulers_.push_back(std::move(engine_schedulers[i]));
+      live_.push_back(true);
+    }
+    Instance& instance = bound[i];
+    core::BudgetScheduler& scheduler = schedulers_.back();
+    core::JointDistribution joint = std::move(specs[i].joint);
+    const common::Result<int> registered =
+        instance.provider.async != nullptr
+            ? scheduler.AddInstanceAsync(instance.name, std::move(joint),
+                                         instance.provider.async)
+            : scheduler.AddInstance(instance.name, std::move(joint),
+                                    instance.provider.sync);
+    CF_CHECK_OK(registered.status());
+    instances_.push_back(std::move(instance));
+  }
+  next_seed_index_ += static_cast<int>(specs.size());
   return Status::Ok();
 }
 
@@ -524,33 +522,20 @@ common::Result<int> Session::AddInstances(std::vector<InstanceSpec> specs,
         "engine mode budgets per instance (budget_per_instance); "
         "additional_budget is a scheduler-mode knob");
   }
-  for (const InstanceSpec& spec : specs) {
-    if (spec.joint.num_facts() == 0) {
-      return Status::InvalidArgument("instance \"" + spec.name +
-                                     "\" has no facts");
-    }
-    if (!spec.truths.empty() &&
-        static_cast<int>(spec.truths.size()) != spec.joint.num_facts()) {
-      return Status::InvalidArgument("instance \"" + spec.name +
-                                     "\" truths do not match its fact count");
-    }
-  }
 
   const int first_new_instance = num_instances();
-  if (mode_ != RunMode::kEngine && additional_budget > 0) {
-    CF_RETURN_IF_ERROR(scheduler_->AddBudget(additional_budget));
-    total_budget_ += additional_budget;
+  CF_RETURN_IF_ERROR(BindInstances(std::move(specs)));
+  if (mode_ == RunMode::kEngine) {
+    // Each arrival brings a live scheduler of its own.
+    done_ = false;
+    return first_new_instance;
   }
-  for (InstanceSpec& spec : specs) {
-    CF_RETURN_IF_ERROR(BindInstance(std::move(spec)));
-    if (mode_ == RunMode::kEngine) {
-      total_budget_ += budget_.budget_per_instance;
-    }
-  }
-
-  // A run that stopped for lack of gain (or arrivals) resumes; one whose
-  // global budget is already spent stays done until budget arrives too.
-  if (mode_ == RunMode::kEngine || scheduler_->HasBudget()) {
+  core::BudgetScheduler& scheduler = schedulers_.front();
+  CF_CHECK_OK(scheduler.AddBudget(additional_budget));
+  // A run that stopped for lack of gain resumes; one whose global budget
+  // is already spent stays done until budget arrives too.
+  if (scheduler.HasBudget()) {
+    live_.front() = true;
     done_ = false;
   }
   return first_new_instance;

@@ -12,7 +12,6 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
-#include "core/crowdfusion.h"
 #include "core/joint_distribution.h"
 #include "core/registry.h"
 #include "core/scheduler.h"
@@ -23,17 +22,19 @@
 namespace crowdfusion::service {
 
 /// Which serving backend executes the request. All three run the same
-/// select -> collect -> merge loop; they differ in how budget and latency
-/// are scheduled:
-///  * kEngine: one CrowdFusionEngine per instance with a per-instance
-///    budget, advanced round-robin (the paper's Figure-1 loop, and the
-///    trajectory eval::RunExperiment reports).
+/// select -> collect -> merge loop, core::BudgetScheduler's pipelined
+/// step; they differ in how budget and latency are scheduled:
+///  * kEngine: one one-book scheduler per instance, stepped round-robin,
+///    each holding budget_per_instance with a window of 1 that aborts on
+///    a failed ticket (the paper's Figure-1 loop, and the trajectory
+///    eval::RunExperiment reports).
 ///  * kPipelined: one BudgetScheduler holding a global budget (the
 ///    Section V-D allocation strategy), with up to max_in_flight ticket
 ///    batches outstanding, overlapping crowd latency.
 ///  * kBlocking: the pipelined loop with a window of 1 that aborts on a
-///    failed ticket — one ticket at a time. It ignores
-///    PipelineSpec::max_in_flight and on_ticket_failure.
+///    failed ticket — one ticket at a time.
+/// kEngine and kBlocking ignore PipelineSpec::max_in_flight and
+/// on_ticket_failure.
 enum class RunMode { kEngine, kBlocking, kPipelined };
 
 /// Config spelling of a RunMode ("engine", "blocking", "pipelined").
@@ -83,9 +84,9 @@ struct BudgetSpec {
   friend bool operator==(const BudgetSpec& a, const BudgetSpec& b) = default;
 };
 
-/// Scheduler serving knobs. Engine mode ignores them all. Blocking mode is
-/// the pipelined loop with a window of 1 that aborts on a failed ticket,
-/// so it ignores max_in_flight and on_ticket_failure and honours the rest.
+/// Scheduler serving knobs. Engine and blocking mode run a window of 1 that
+/// aborts on a failed ticket, so they ignore max_in_flight and
+/// on_ticket_failure and honour the rest.
 struct PipelineSpec {
   int max_in_flight = 4;
   int ticket_max_attempts = 1;
@@ -134,12 +135,15 @@ struct FusionRequest {
 /// One select-collect-merge quantum, unified across backends.
 /// Mode-dependent fields (the differential tests pin these semantics):
 ///  * kEngine: `round`/`cumulative_cost`/`utility_bits` are per-instance
-///    (mirroring core::RoundRecord); latency_seconds is 0.
+///    (the instance's own scheduler's step, spend and utility); an
+///    exhaustion marker carries its instance's index.
 ///  * scheduler modes: `utility_bits` is the TOTAL utility over all
 ///    instances and `cumulative_cost` the global spend (mirroring
-///    core::BudgetScheduler::StepRecord); `round` is -1.
-/// An outcome with instance == -1 is the exhaustion marker: budget
-/// remained but no instance had a positive-gain task left.
+///    core::BudgetScheduler::StepRecord); `round` is -1, and an outcome
+///    with instance == -1 is the exhaustion marker.
+/// An exhaustion marker (no tasks) means budget remained but no instance
+/// had a positive-gain task left. latency_seconds is the step's
+/// submit-to-merge wall time.
 struct StepOutcome {
   int step = 0;
   int instance = -1;
@@ -174,9 +178,8 @@ struct InstanceReport {
 /// Bench-ready aggregate statistics of one run.
 struct RunStats {
   double wall_seconds = 0.0;
-  /// Selector wall-clock summed over every Select() of the run: engine
-  /// rounds report it via their RoundRecord stats, the scheduler modes
-  /// via the scheduler's per-Select timing log.
+  /// Selector wall-clock summed over every Select() of the run, from the
+  /// schedulers' per-Select timing logs.
   double selection_seconds = 0.0;
   double steps_per_second = 0.0;
   /// Submit-to-merge latency percentiles over the run's steps, ms.
@@ -226,8 +229,8 @@ struct SessionProgress {
 /// HTTP/queue front-end can drive one request with repeated Step() calls
 /// (returning each quantum's merged records as they land) instead of one
 /// blocking Run(). The session OWNS everything the run needs — selector,
-/// providers, joints, engines/scheduler — so the engine/scheduler borrow
-/// contracts are satisfied by construction and cannot dangle.
+/// providers, joints, schedulers — so the scheduler borrow contracts are
+/// satisfied by construction and cannot dangle.
 class Session {
  public:
   Session(const Session&) = delete;
@@ -235,13 +238,14 @@ class Session {
 
   bool done() const { return done_; }
 
-  /// Advances one quantum and returns its outcomes, in merge order:
-  /// engine mode runs every live instance one round (round-robin pass);
-  /// the scheduler modes fill the in-flight window (one ticket in
-  /// blocking mode) and harvest everything that resolved. An empty
-  /// vector means the run just completed (the exhaustion marker, when
-  /// emitted, arrives as a final instance == -1 outcome first). A step
-  /// that fails (e.g. a crowd outage) may be retried.
+  /// Advances one quantum and returns its outcomes, in merge order: every
+  /// live scheduler runs one pipelined step, in registration order — in
+  /// engine mode one round of each live instance, in the scheduler modes
+  /// a fill of the in-flight window (one ticket in blocking mode) and a
+  /// harvest of everything that resolved. An empty vector means the run
+  /// just completed (an exhaustion marker, when emitted, arrives as an
+  /// outcome first). A step that fails (e.g. a crowd outage) may be
+  /// retried.
   common::Result<std::vector<StepOutcome>> Step();
 
   /// Non-blocking progress snapshot.
@@ -258,8 +262,8 @@ class Session {
   /// that had stopped for lack of gain resumes when the arrivals give it
   /// work. Returns the index of the first new instance. Requires the
   /// creating FusionService to still be alive (it lends its provider
-  /// registry). On error the session keeps any instances bound before
-  /// the failure.
+  /// registry). All-or-nothing: a rejected batch leaves the session
+  /// unchanged.
   common::Result<int> AddInstances(std::vector<InstanceSpec> specs,
                                    int additional_budget = 0);
 
@@ -281,8 +285,8 @@ class Session {
   int total_cost_spent() const;
   double total_utility_bits() const;
   double selection_seconds() const;
-  /// Individual Select() wall times, seconds, in issue order (engine
-  /// rounds or scheduler refreshes).
+  /// Individual Select() wall times, seconds, in issue order per
+  /// scheduler (schedulers in registration order).
   std::vector<double> selection_compute_samples() const;
   /// Wall-clock accumulated across Step() calls so far.
   double wall_seconds() const { return wall_seconds_; }
@@ -300,31 +304,33 @@ class Session {
     std::vector<bool> truths;
     core::ProviderHandle provider;
     int num_facts = 0;
-    /// Engine mode only: the per-instance loop and its no-gain flag.
-    std::optional<core::CrowdFusionEngine> engine;
-    bool exhausted = false;
   };
 
   Session() = default;
 
-  /// Binds one provider from the stored template and registers the
-  /// instance with the session's backend — the one path used both at
-  /// creation and by AddInstances.
-  common::Status BindInstance(InstanceSpec spec);
+  /// Binds one provider per spec from the stored template and registers
+  /// the instances with the session's schedulers — the one path used both
+  /// at creation and by AddInstances. Every provider is built before any
+  /// instance is registered, so a rejected batch changes nothing.
+  common::Status BindInstances(std::vector<InstanceSpec> specs);
 
-  common::Result<std::vector<StepOutcome>> StepEngine();
-  common::Result<std::vector<StepOutcome>> StepScheduler();
+  /// The scheduler serving `instance` and the instance's index in it.
+  std::pair<const core::BudgetScheduler*, int> Locate(int instance) const;
 
-  StepOutcome FromRoundRecord(int instance, const core::RoundRecord& record);
-  StepOutcome FromStepRecord(const core::BudgetScheduler::StepRecord& record);
+  /// Instances a kSkipInstance policy killed, over every scheduler.
+  int dead_instances() const;
+
+  StepOutcome FromStepRecord(int scheduler,
+                             const core::BudgetScheduler::StepRecord& record);
 
   RunMode mode_ = RunMode::kEngine;
   std::string label_;
   std::optional<core::CrowdModel> crowd_;
   std::unique_ptr<core::TaskSelector> selector_;
-  /// Creation-request state AddInstances binds arrivals from.
+  /// Creation-request state AddInstances binds arrivals from; engine mode
+  /// also builds each arrival's scheduler from scheduler_options_.
   core::ProviderSpec provider_template_;
-  BudgetSpec budget_;
+  core::BudgetScheduler::Options scheduler_options_;
   /// Borrowed from the creating service (alive for every in-repo client:
   /// the HTTP front-end, eval, and the CLI all outlive their sessions).
   const core::ProviderRegistry* providers_ = nullptr;
@@ -332,23 +338,23 @@ class Session {
   /// arrival N + i seeds exactly like a creation-time instance N + i.
   int next_seed_index_ = 0;
   std::vector<Instance> instances_;
-  /// Scheduler modes only.
-  std::optional<core::BudgetScheduler> scheduler_;
-  int total_budget_ = 0;
+  /// Engine mode: one one-book scheduler per instance, in instance order.
+  /// Scheduler modes: exactly one scheduler holding every instance.
+  std::vector<core::BudgetScheduler> schedulers_;
+  /// Per scheduler: false once its run completed (budget spent, or no
+  /// gain left); a finished scheduler is not stepped again.
+  std::vector<bool> live_;
   std::vector<StepOutcome> steps_;
   int steps_emitted_ = 0;
-  double selection_seconds_ = 0.0;
-  /// Engine mode: one entry per round's selector call. Scheduler modes
-  /// read the scheduler's log instead (see selection_compute_samples).
-  std::vector<double> selection_samples_;
   double wall_seconds_ = 0.0;
   bool done_ = false;
 };
 
-/// The facade: one typed request/response API over the engine and the
-/// budget scheduler (blocking or pipelined), with every backend
-/// constructed from string-keyed registries. Thread-compatible: one
-/// service may mint many sessions; each session is single-caller.
+/// The facade: one typed request/response API over the budget scheduler
+/// (per book in engine mode, global in blocking or pipelined mode), with
+/// every backend constructed from string-keyed registries.
+/// Thread-compatible: one service may mint many sessions; each session is
+/// single-caller.
 class FusionService {
  public:
   struct Config {

@@ -1,18 +1,23 @@
 #ifndef CROWDFUSION_TESTS_CORE_SCHEDULER_GOLDEN_H_
 #define CROWDFUSION_TESTS_CORE_SCHEDULER_GOLDEN_H_
 
-/// Reader for text goldens of BudgetScheduler runs: per seed, every step
-/// record and the final per-instance state. The committed goldens were
-/// produced by the one-ticket-at-a-time blocking loop the scheduler used
-/// to carry, so they pin today's scheduler against that loop's exact
-/// output. They are frozen: regenerating them from the code under test
-/// would turn the pin into a tautology. Doubles are written at %.17g,
-/// which round-trips.
+/// Reader for text goldens of serving runs: per seed, every step record
+/// (or service step outcome) and the final per-instance state. The
+/// blocking goldens were produced by the one-ticket-at-a-time blocking
+/// loop the scheduler used to carry; the engine goldens by the per-book
+/// engine loop engine mode used to run on. They pin today's scheduler
+/// against those loops' exact output, and are frozen: regenerating them
+/// from the code under test would turn the pin into a tautology. Doubles
+/// are written at %.17g, which round-trips.
 ///
-/// Line format (one `run` line, then its `step` and `instance` lines):
+/// Line format (one `run` line, then its `step`/`outcome` and `instance`
+/// lines):
 ///   run <seed> <total_cost_spent>
 ///   step <step> <instance> <cumulative_cost> <expected_gain_bits>
 ///        <total_utility_bits> <k> <task>... <answers as 0/1 string or ->
+///   outcome <step> <instance> <round> <cumulative_cost>
+///        <selected_entropy_bits> <expected_gain_bits> <utility_bits>
+///        <k> <task>... <answers as 0/1 string or ->
 ///   instance <cost_spent> <num_facts> <support> (<mask> <prob>)...
 
 #include <cstdint>
@@ -37,6 +42,19 @@ struct Step {
   std::vector<bool> answers;
 };
 
+/// One service StepOutcome, latency_seconds aside.
+struct Outcome {
+  int step = 0;
+  int instance = -1;
+  int round = -1;
+  int cumulative_cost = 0;
+  double selected_entropy_bits = 0.0;
+  double expected_gain_bits = 0.0;
+  double utility_bits = 0.0;
+  std::vector<int> tasks;
+  std::vector<bool> answers;
+};
+
 struct Instance {
   int cost_spent = 0;
   JointDistribution joint;
@@ -46,6 +64,7 @@ struct Run {
   uint64_t seed = 0;
   int total_cost_spent = 0;
   std::vector<Step> steps;
+  std::vector<Outcome> outcomes;
   std::vector<Instance> instances;
 };
 
@@ -85,28 +104,45 @@ inline std::vector<Run> Load(const std::string& path) {
       *value = std::strtod(token.c_str(), &end);
       return *end == '\0';
     };
+    const auto read_tasks_and_answers = [&in](std::vector<int>* tasks,
+                                              std::vector<bool>* answers) {
+      size_t k = 0;
+      if (!(in >> k)) return false;
+      tasks->resize(k);
+      for (int& task : *tasks) {
+        if (!(in >> task)) return false;
+      }
+      std::string bits;
+      if (!(in >> bits)) return false;
+      if (bits != "-") {
+        for (char c : bits) answers->push_back(c == '1');
+      }
+      return true;
+    };
     if (kind == "run") {
       Run run;
       if (!(in >> run.seed >> run.total_cost_spent)) return {};
       runs.push_back(std::move(run));
     } else if (kind == "step" && !runs.empty()) {
       Step step;
-      size_t k = 0;
       if (!(in >> step.step >> step.instance >> step.cumulative_cost) ||
           !read_double(&step.expected_gain_bits) ||
-          !read_double(&step.total_utility_bits) || !(in >> k)) {
+          !read_double(&step.total_utility_bits) ||
+          !read_tasks_and_answers(&step.tasks, &step.answers)) {
         return {};
       }
-      step.tasks.resize(k);
-      for (int& task : step.tasks) {
-        if (!(in >> task)) return {};
-      }
-      std::string answers;
-      if (!(in >> answers)) return {};
-      if (answers != "-") {
-        for (char c : answers) step.answers.push_back(c == '1');
-      }
       runs.back().steps.push_back(std::move(step));
+    } else if (kind == "outcome" && !runs.empty()) {
+      Outcome outcome;
+      if (!(in >> outcome.step >> outcome.instance >> outcome.round >>
+            outcome.cumulative_cost) ||
+          !read_double(&outcome.selected_entropy_bits) ||
+          !read_double(&outcome.expected_gain_bits) ||
+          !read_double(&outcome.utility_bits) ||
+          !read_tasks_and_answers(&outcome.tasks, &outcome.answers)) {
+        return {};
+      }
+      runs.back().outcomes.push_back(std::move(outcome));
     } else if (kind == "instance" && !runs.empty()) {
       Instance instance;
       int num_facts = 0;

@@ -33,6 +33,35 @@ class OracleProvider : public AnswerProvider {
   uint64_t truth_mask_;
 };
 
+/// Provider that always fails, to exercise error propagation.
+class BrokenProvider : public AnswerProvider {
+ public:
+  common::Result<std::vector<bool>> CollectAnswers(
+      std::span<const int>) override {
+    return common::Status::Internal("platform down");
+  }
+};
+
+/// Provider returning the wrong number of answers.
+class ShortProvider : public AnswerProvider {
+ public:
+  common::Result<std::vector<bool>> CollectAnswers(
+      std::span<const int>) override {
+    return std::vector<bool>{};
+  }
+};
+
+/// A scheduler over the running example alone, served by `provider`.
+BudgetScheduler OneBook(const CrowdModel& crowd, TaskSelector* selector,
+                        BudgetScheduler::Options options,
+                        AnswerProvider* provider) {
+  auto scheduler = BudgetScheduler::Create(crowd, selector, options);
+  EXPECT_TRUE(scheduler.ok());
+  EXPECT_TRUE(
+      scheduler->AddInstance("book", RunningExample::Joint(), provider).ok());
+  return std::move(scheduler).value();
+}
+
 JointDistribution UniformJoint(int n) {
   auto joint = JointDistribution::Uniform(n);
   EXPECT_TRUE(joint.ok());
@@ -67,6 +96,155 @@ TEST(BudgetSchedulerTest, AddInstanceValidates) {
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(id.value(), 0);
   EXPECT_EQ(scheduler->num_instances(), 1);
+}
+
+TEST(BudgetSchedulerTest, ZeroBudgetRunsNoSteps) {
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector selector;
+  OracleProvider provider(0b0111);
+  BudgetScheduler::Options options;
+  options.total_budget = 0;
+  BudgetScheduler scheduler = OneBook(crowd, &selector, options, &provider);
+  EXPECT_FALSE(scheduler.HasBudget());
+  auto records = scheduler.RunPipelined();
+  ASSERT_TRUE(records.ok());
+  EXPECT_TRUE(records->empty());
+  EXPECT_EQ(scheduler.total_cost_spent(), 0);
+}
+
+// EngineTest: the refinement loop over a single book, the paper's setting
+// of one fusion result refined by the crowd under a budget.
+
+TEST(EngineTest, CreateValidatesArguments) {
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector selector;
+  OracleProvider provider(0b0111);
+  BudgetScheduler::Options options;
+  EXPECT_FALSE(BudgetScheduler::Create(crowd, nullptr, options).ok());
+  options.total_budget = -1;
+  EXPECT_FALSE(BudgetScheduler::Create(crowd, &selector, options).ok());
+  options.total_budget = 10;
+  options.tasks_per_step = 0;
+  EXPECT_FALSE(BudgetScheduler::Create(crowd, &selector, options).ok());
+  options.tasks_per_step = 2;
+  auto scheduler = BudgetScheduler::Create(crowd, &selector, options);
+  ASSERT_TRUE(scheduler.ok());
+  EXPECT_EQ(scheduler->AddInstance("book", RunningExample::Joint(), nullptr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  auto empty = scheduler->AddInstance("book", JointDistribution(), &provider);
+  EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
+  auto unnormalized = JointDistribution::FromEntries(
+      2, {{0b00, 0.25}, {0b11, 0.25}}, /*normalize=*/false, /*tolerance=*/1.0);
+  ASSERT_TRUE(unnormalized.ok());
+  auto rejected = scheduler->AddInstance("book", *unnormalized, &provider);
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(scheduler->num_instances(), 0);
+}
+
+TEST(EngineTest, SpendsExactlyTheBudget) {
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector selector;
+  OracleProvider provider(0b0111);
+  BudgetScheduler::Options options;
+  options.total_budget = 7;
+  options.tasks_per_step = 2;
+  BudgetScheduler scheduler = OneBook(crowd, &selector, options, &provider);
+  auto records = scheduler.RunPipelined();
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(scheduler.total_cost_spent(), 7);
+  // Steps of 2, 2, 2, then a final step of 1.
+  ASSERT_EQ(records->size(), 4u);
+  EXPECT_EQ(records->back().tasks.size(), 1u);
+  EXPECT_EQ(records->back().cumulative_cost, 7);
+}
+
+TEST(EngineTest, TruthConsistentAnswersRaiseUtility) {
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector selector;
+  // Ground truth: f1, f2, f3 true; f4 false (Hong Kong is in Asia).
+  OracleProvider provider(0b0111);
+  BudgetScheduler::Options options;
+  options.total_budget = 30;
+  options.tasks_per_step = 1;
+  BudgetScheduler scheduler = OneBook(crowd, &selector, options, &provider);
+  const double initial_utility = -RunningExample::Joint().EntropyBits();
+  auto records = scheduler.RunPipelined();
+  ASSERT_TRUE(records.ok());
+  ASSERT_FALSE(records->empty());
+  EXPECT_GT(records->back().total_utility_bits, initial_utility + 2.0);
+  // Posterior should now lean strongly toward the truth.
+  const JointDistribution& joint = scheduler.joint(0);
+  EXPECT_GT(joint.Marginal(0), 0.95);
+  EXPECT_GT(joint.Marginal(1), 0.95);
+  EXPECT_GT(joint.Marginal(2), 0.95);
+  EXPECT_LT(joint.Marginal(3), 0.05);
+}
+
+TEST(EngineTest, RoundRecordsAreConsistent) {
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector selector;
+  OracleProvider provider(0b0111);
+  BudgetScheduler::Options options;
+  options.total_budget = 6;
+  options.tasks_per_step = 3;
+  BudgetScheduler scheduler = OneBook(crowd, &selector, options, &provider);
+  auto records = scheduler.RunPipelined();
+  ASSERT_TRUE(records.ok());
+  ASSERT_FALSE(records->empty());
+  int expected_cost = 0;
+  int step = 0;
+  for (const BudgetScheduler::StepRecord& record : *records) {
+    EXPECT_EQ(record.step, step++);
+    EXPECT_EQ(record.instance, 0);
+    EXPECT_EQ(record.tasks.size(), record.answers.size());
+    expected_cost += static_cast<int>(record.tasks.size());
+    EXPECT_EQ(record.cumulative_cost, expected_cost);
+    EXPECT_GT(record.selected_entropy_bits, 0.0);
+    const double k = static_cast<double>(record.tasks.size());
+    EXPECT_DOUBLE_EQ(record.expected_gain_bits,
+                     record.selected_entropy_bits - k * crowd.EntropyBits());
+  }
+  EXPECT_EQ(scheduler.total_cost_spent(), expected_cost);
+}
+
+TEST(BudgetSchedulerTest, ProviderErrorPropagates) {
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector selector;
+  BrokenProvider provider;
+  BudgetScheduler scheduler =
+      OneBook(crowd, &selector, BudgetScheduler::Options{}, &provider);
+  EXPECT_EQ(scheduler.RunPipelined().status().code(), StatusCode::kInternal);
+}
+
+TEST(BudgetSchedulerTest, ProviderSizeMismatchDetected) {
+  const CrowdModel crowd = MakeCrowd(0.8);
+  GreedySelector selector;
+  ShortProvider provider;
+  BudgetScheduler scheduler =
+      OneBook(crowd, &selector, BudgetScheduler::Options{}, &provider);
+  EXPECT_EQ(scheduler.RunPipelined().status().code(), StatusCode::kInternal);
+}
+
+TEST(BudgetSchedulerTest, PerfectCrowdStopsWhenCertain) {
+  // With Pc = 1 the answers drive entropy to 0, after which the greedy
+  // selects nothing and the run ends on the exhaustion marker with
+  // budget left over.
+  const CrowdModel crowd = MakeCrowd(1.0);
+  GreedySelector selector;
+  OracleProvider provider(0b0111);
+  BudgetScheduler::Options options;
+  options.total_budget = 100;
+  options.tasks_per_step = 2;
+  BudgetScheduler scheduler = OneBook(crowd, &selector, options, &provider);
+  auto records = scheduler.RunPipelined();
+  ASSERT_TRUE(records.ok());
+  EXPECT_LT(scheduler.total_cost_spent(), 100);
+  EXPECT_NEAR(scheduler.joint(0).EntropyBits(), 0.0, 1e-9);
+  ASSERT_FALSE(records->empty());
+  EXPECT_EQ(records->back().instance, -1);
+  EXPECT_TRUE(records->back().tasks.empty());
 }
 
 TEST(BudgetSchedulerTest, RunPipelinedRequiresInstances) {

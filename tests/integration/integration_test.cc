@@ -1,12 +1,12 @@
 /// End-to-end integration tests driving the whole stack: synthetic Book
-/// dataset -> machine-only fusion -> correlation model -> CrowdFusion
-/// engine with a simulated crowd -> metrics.
+/// dataset -> machine-only fusion -> correlation model -> the CrowdFusion
+/// loop (a one-book BudgetScheduler) with a simulated crowd -> metrics.
 
 #include <gtest/gtest.h>
 
-#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
 #include "core/query_based.h"
+#include "core/scheduler.h"
 #include "crowd/platform.h"
 #include "crowd/simulated_crowd.h"
 #include "data/book_dataset.h"
@@ -20,6 +20,25 @@ namespace {
 
 using core::CrowdModel;
 using core::JointDistribution;
+
+/// One book refined by the select-collect-merge loop, `tasks_per_step`
+/// tasks at a time, until `budget` tasks are spent (or no task has gain
+/// left).
+core::BudgetScheduler RefineOneBook(int budget, int tasks_per_step,
+                                    const JointDistribution& joint,
+                                    const CrowdModel& crowd,
+                                    core::TaskSelector* selector,
+                                    core::AnswerProvider* provider) {
+  core::BudgetScheduler::Options options;
+  options.total_budget = budget;
+  options.tasks_per_step = tasks_per_step;
+  auto scheduler = core::BudgetScheduler::Create(crowd, selector, options);
+  EXPECT_TRUE(scheduler.ok()) << scheduler.status();
+  EXPECT_TRUE(scheduler->AddInstance("book", joint, provider).ok());
+  auto records = scheduler->RunPipelined();
+  EXPECT_TRUE(records.ok()) << records.status();
+  return std::move(scheduler).value();
+}
 
 TEST(IntegrationTest, SingleBookPipelineDrivesMarginalsTowardTruth) {
   data::BookDatasetOptions dataset_options;
@@ -57,25 +76,18 @@ TEST(IntegrationTest, SingleBookPipelineDrivesMarginalsTowardTruth) {
   greedy_options.use_pruning = true;
   greedy_options.use_preprocessing = true;
   core::GreedySelector selector(greedy_options);
-  core::EngineOptions engine_options;
-  engine_options.budget = 60;
-  engine_options.tasks_per_round = 2;
-  auto engine = core::CrowdFusionEngine::Create(
-      *joint, *crowd_model, &selector, &provider, engine_options);
-  ASSERT_TRUE(engine.ok());
-  auto records = engine->Run();
-  ASSERT_TRUE(records.ok()) << records.status();
+  const core::BudgetScheduler refined =
+      RefineOneBook(60, 2, *joint, *crowd_model, &selector, &provider);
 
   // After 60 answers from an 85% crowd, thresholded marginals should be
   // nearly all correct.
-  const std::vector<double> final_marginals = engine->current().Marginals();
+  const std::vector<double> final_marginals = refined.joint(0).Marginals();
   const eval::ConfusionCounts counts =
       eval::CountConfusion(final_marginals, truths);
   const double accuracy = eval::ComputeAccuracy(counts);
   EXPECT_GT(accuracy, 0.8);
   // Utility increased over the run.
-  ASSERT_FALSE(records->empty());
-  EXPECT_GT(records->back().utility_bits, -joint->EntropyBits() + 0.5);
+  EXPECT_GT(refined.TotalUtilityBits(), -joint->EntropyBits() + 0.5);
 }
 
 TEST(IntegrationTest, PlatformWithRedundancyPluggedIntoEngine) {
@@ -109,21 +121,15 @@ TEST(IntegrationTest, PlatformWithRedundancyPluggedIntoEngine) {
                                                platform_options);
   ASSERT_TRUE(platform.ok());
 
-  // Majority of three 0.7 workers ≈ 0.784 accurate; tell the engine 0.78.
+  // Majority of three 0.7 workers ≈ 0.784 accurate; tell the system 0.78.
   auto crowd_model = CrowdModel::Create(0.78);
   ASSERT_TRUE(crowd_model.ok());
   core::GreedySelector selector;
-  core::EngineOptions engine_options;
-  engine_options.budget = 40;
-  engine_options.tasks_per_round = 1;
-  auto engine = core::CrowdFusionEngine::Create(
-      *joint, *crowd_model, &selector, &platform.value(), engine_options);
-  ASSERT_TRUE(engine.ok());
-  auto records = engine->Run();
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(platform->judgments_collected(), 3 * engine->cost_spent());
+  const core::BudgetScheduler refined =
+      RefineOneBook(40, 1, *joint, *crowd_model, &selector, &platform.value());
+  EXPECT_EQ(platform->judgments_collected(), 3 * refined.total_cost_spent());
   const eval::ConfusionCounts counts =
-      eval::CountConfusion(engine->current().Marginals(), truths);
+      eval::CountConfusion(refined.joint(0).Marginals(), truths);
   EXPECT_GT(eval::ComputeAccuracy(counts), 0.6);
 }
 
@@ -153,15 +159,10 @@ TEST(IntegrationTest, QueryBasedSelectorWorksInsideEngine) {
   core::QueryBasedGreedySelector::Options query_options;
   query_options.foi = {0};  // only the first statement matters
   core::QueryBasedGreedySelector selector(query_options);
-  core::EngineOptions engine_options;
-  engine_options.budget = 10;
-  auto engine = core::CrowdFusionEngine::Create(
-      *joint, *crowd_model, &selector, &provider, engine_options);
-  ASSERT_TRUE(engine.ok());
-  auto records = engine->Run();
-  ASSERT_TRUE(records.ok()) << records.status();
+  const core::BudgetScheduler refined =
+      RefineOneBook(10, 1, *joint, *crowd_model, &selector, &provider);
   // The FOI marginal should be close to its truth.
-  const double p0 = engine->current().Marginal(0);
+  const double p0 = refined.joint(0).Marginal(0);
   EXPECT_NEAR(p0, truths[0] ? 1.0 : 0.0, 0.2);
 }
 

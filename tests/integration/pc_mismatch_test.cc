@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/bayes.h"
-#include "core/crowdfusion.h"
 #include "core/greedy_selector.h"
+#include "core/scheduler.h"
 #include "crowd/simulated_crowd.h"
 #include "eval/metrics.h"
 
@@ -16,8 +16,25 @@ namespace {
 using core::CrowdModel;
 using core::JointDistribution;
 
+/// Final joint of one 6-fact uniform book refined with budget 24, k = 2,
+/// against `provider`, with the system assuming `crowd_model`'s Pc.
+JointDistribution Refine(const JointDistribution& joint,
+                         const CrowdModel& crowd_model,
+                         crowd::SimulatedCrowd& provider) {
+  core::GreedySelector selector;
+  core::BudgetScheduler::Options options;
+  options.total_budget = 24;
+  options.tasks_per_step = 2;
+  auto scheduler =
+      core::BudgetScheduler::Create(crowd_model, &selector, options);
+  EXPECT_TRUE(scheduler.ok());
+  EXPECT_TRUE(scheduler->AddInstance("book", joint, &provider).ok());
+  EXPECT_TRUE(scheduler->RunPipelined().ok());
+  return scheduler->joint(0);
+}
+
 /// Mean final utility over `repeats` runs of a 6-fact uniform joint
-/// against a crowd of true accuracy `true_pc`, with the engine assuming
+/// against a crowd of true accuracy `true_pc`, with the system assuming
 /// `assumed_pc`.
 double MeanFinalUtility(double assumed_pc, double true_pc, int repeats) {
   auto joint = JointDistribution::Uniform(6);
@@ -30,16 +47,7 @@ double MeanFinalUtility(double assumed_pc, double true_pc, int repeats) {
   for (int r = 0; r < repeats; ++r) {
     crowd::SimulatedCrowd provider = crowd::SimulatedCrowd::WithUniformAccuracy(
         truths, true_pc, 5000 + static_cast<uint64_t>(r));
-    core::GreedySelector selector;
-    core::EngineOptions options;
-    options.budget = 24;
-    options.tasks_per_round = 2;
-    auto engine = core::CrowdFusionEngine::Create(
-        *joint, *crowd_model, &selector, &provider, options);
-    EXPECT_TRUE(engine.ok());
-    auto records = engine->Run();
-    EXPECT_TRUE(records.ok());
-    total += -engine->current().EntropyBits();
+    total += -Refine(*joint, *crowd_model, provider).EntropyBits();
   }
   return total / repeats;
 }
@@ -57,17 +65,9 @@ double MeanFinalAccuracy(double assumed_pc, double true_pc, int repeats) {
   for (int r = 0; r < repeats; ++r) {
     crowd::SimulatedCrowd provider = crowd::SimulatedCrowd::WithUniformAccuracy(
         truths, true_pc, 7000 + static_cast<uint64_t>(r));
-    core::GreedySelector selector;
-    core::EngineOptions options;
-    options.budget = 24;
-    options.tasks_per_round = 2;
-    auto engine = core::CrowdFusionEngine::Create(
-        *joint, *crowd_model, &selector, &provider, options);
-    EXPECT_TRUE(engine.ok());
-    auto records = engine->Run();
-    EXPECT_TRUE(records.ok());
+    const JointDistribution refined = Refine(*joint, *crowd_model, provider);
     total += eval::ComputeAccuracy(
-        eval::CountConfusion(engine->current().Marginals(), truths));
+        eval::CountConfusion(refined.Marginals(), truths));
   }
   return total / repeats;
 }

@@ -77,7 +77,7 @@ std::unique_ptr<Session> RunToCompletion(service::FusionService& fusion,
 }
 
 /// Everything but latency_seconds must match bit-for-bit (the wire adds
-/// real transport time; the in-process path reports 0).
+/// real transport time).
 void ExpectOutcomesEqual(const std::vector<StepOutcome>& in_process,
                          const std::vector<StepOutcome>& over_http,
                          uint64_t seed) {
@@ -140,6 +140,10 @@ void RunDifferential(RunMode mode) {
     EXPECT_EQ(local_served, remote_served) << "seed " << seed;
     EXPECT_EQ(local_correct, remote_correct) << "seed " << seed;
   }
+}
+
+TEST(HttpDifferentialTest, EngineModeMatchesInProcessBitForBit) {
+  RunDifferential(RunMode::kEngine);
 }
 
 TEST(HttpDifferentialTest, BlockingModeMatchesInProcessBitForBit) {

@@ -1,10 +1,10 @@
 /// The facade's zero-behavior-change pin: across 32 seeds, FusionService-
 /// built runs reproduce the corresponding direct-API runs bit-for-bit —
-/// engine mode against hand-wired CrowdFusionEngines, pipelined mode
-/// against BudgetScheduler::RunPipelined, and blocking mode against the
-/// frozen output of the blocking scheduler loop it replaced — on records,
-/// answers, utilities, and final joints. The service must add an API, not
-/// a behavior.
+/// pipelined mode against BudgetScheduler::RunPipelined, and engine and
+/// blocking mode against the frozen output of the loops they replaced
+/// (per-book engines, the blocking scheduler loop) — on records, answers,
+/// utilities, and final joints. The service must add an API, not a
+/// behavior.
 
 #include <gtest/gtest.h>
 
@@ -131,75 +131,122 @@ std::unique_ptr<Session> RunService(const FusionRequest& request,
   return std::move(session).value();
 }
 
+/// Engine mode with a selector that holds an RNG: the goldens pin the
+/// order of Select() calls across books, not just each book's own loop.
+FusionRequest RandomSelectorRequest(const Workload& workload, uint64_t seed) {
+  FusionRequest request = MakeRequest(workload, RunMode::kEngine);
+  request.selector.kind = "random";
+  request.selector.seed = seed;
+  return request;
+}
+
+/// Engine mode with a streaming arrival: the session starts without the
+/// last book, steps once, then takes it through AddInstances and drains.
+/// A perfect crowd (scripted with the truths, assumed Pc = 1) settles
+/// every book before its budget runs out, so each book's run ends on its
+/// exhaustion marker.
+std::unique_ptr<Session> RunWithArrival(const Workload& workload,
+                                        uint64_t seed) {
+  FusionRequest request = MakeRequest(workload, RunMode::kEngine);
+  request.provider.kind = "scripted";
+  request.assumed_pc = 1.0;
+  request.budget.budget_per_instance = 40;
+  std::vector<InstanceSpec> late;
+  late.push_back(std::move(request.instances.back()));
+  request.instances.pop_back();
+  // AddInstances binds through the creating service's registry.
+  FusionService service;
+  auto session = service.CreateSession(std::move(request));
+  EXPECT_TRUE(session.ok()) << "seed " << seed << ": " << session.status();
+  EXPECT_TRUE((*session)->Step().ok()) << "seed " << seed;
+  auto first = (*session)->AddInstances(std::move(late));
+  EXPECT_TRUE(first.ok()) << "seed " << seed << ": " << first.status();
+  while (!(*session)->done()) {
+    auto outcomes = (*session)->Step();
+    EXPECT_TRUE(outcomes.ok()) << "seed " << seed << ": "
+                               << outcomes.status();
+    if (!outcomes.ok()) break;
+  }
+  return std::move(session).value();
+}
+
+/// Compares every outcome field but latency_seconds, the final joints and
+/// the per-instance spend against a frozen golden run.
+void ExpectMatchesGolden(const core::golden::Run& expected,
+                         const Session& session) {
+  const std::vector<StepOutcome>& served = session.steps();
+  ASSERT_EQ(served.size(), expected.outcomes.size());
+  for (size_t i = 0; i < served.size(); ++i) {
+    SCOPED_TRACE("outcome " + std::to_string(i));
+    const core::golden::Outcome& want = expected.outcomes[i];
+    EXPECT_EQ(want.step, served[i].step);
+    EXPECT_EQ(want.instance, served[i].instance);
+    EXPECT_EQ(want.round, served[i].round);
+    EXPECT_EQ(want.tasks, served[i].tasks);
+    EXPECT_EQ(want.answers, served[i].answers);
+    EXPECT_EQ(want.selected_entropy_bits, served[i].selected_entropy_bits);
+    EXPECT_EQ(want.expected_gain_bits, served[i].expected_gain_bits);
+    EXPECT_EQ(want.utility_bits, served[i].utility_bits);
+    EXPECT_EQ(want.cumulative_cost, served[i].cumulative_cost);
+  }
+  ASSERT_EQ(static_cast<size_t>(session.num_instances()),
+            expected.instances.size());
+  for (int i = 0; i < session.num_instances(); ++i) {
+    const core::golden::Instance& want =
+        expected.instances[static_cast<size_t>(i)];
+    EXPECT_EQ(want.joint, session.joint(i)) << "instance " << i;
+    EXPECT_EQ(want.cost_spent, session.cost_spent(i)) << "instance " << i;
+  }
+  EXPECT_EQ(expected.total_cost_spent, session.total_cost_spent());
+}
+
+std::vector<core::golden::Run> LoadGolden(const std::string& file) {
+  return core::golden::Load(
+      std::string(CROWDFUSION_SCHEDULER_GOLDEN_DIR) + "/" + file);
+}
+
+/// The goldens are what engine mode produced when it ran one
+/// CrowdFusionEngine per book, advanced round-robin, on each seed's
+/// workload.
 TEST(ServiceDifferentialTest, EngineModeReproducesDirectEngines) {
+  const std::vector<core::golden::Run> goldens =
+      LoadGolden("engine_service_runs.txt");
+  ASSERT_EQ(goldens.size(), static_cast<size_t>(kSeeds))
+      << "missing or malformed golden";
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const Workload workload = MakeWorkload(seed);
-
-    // Direct: one hand-wired engine per book, advanced round-robin (the
-    // exact schedule the session runs).
-    auto crowds = MakeCrowds(workload);
-    core::GreedySelector selector(GreedyOptions());
-    const core::CrowdModel crowd = MakeCrowd();
-    std::vector<core::CrowdFusionEngine> engines;
-    std::vector<bool> exhausted(workload.joints.size(), false);
-    for (size_t i = 0; i < workload.joints.size(); ++i) {
-      core::EngineOptions options;
-      options.budget = workload.budget_per_instance;
-      options.tasks_per_round = workload.tasks_per_step;
-      auto engine = core::CrowdFusionEngine::Create(
-          workload.joints[i], crowd, &selector, crowds[i].get(), options);
-      ASSERT_TRUE(engine.ok());
-      engines.push_back(std::move(engine).value());
-    }
-    std::vector<std::vector<core::RoundRecord>> direct_records(
-        engines.size());
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (size_t i = 0; i < engines.size(); ++i) {
-        if (exhausted[i] || !engines[i].HasBudget()) continue;
-        auto record = engines[i].RunRound();
-        ASSERT_TRUE(record.ok());
-        if (record->tasks.empty()) exhausted[i] = true;
-        direct_records[i].push_back(std::move(record).value());
-        progressed = true;
-      }
-    }
-
-    // Service: the same workload through the typed API.
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ASSERT_EQ(goldens[seed - 1].seed, seed);
     const std::unique_ptr<Session> session =
-        RunService(MakeRequest(workload, RunMode::kEngine), seed);
+        RunService(MakeRequest(MakeWorkload(seed), RunMode::kEngine), seed);
+    ExpectMatchesGolden(goldens[seed - 1], *session);
+  }
+}
 
-    std::vector<std::vector<StepOutcome>> service_records(engines.size());
-    for (const StepOutcome& outcome : session->steps()) {
-      ASSERT_GE(outcome.instance, 0);
-      service_records[static_cast<size_t>(outcome.instance)].push_back(
-          outcome);
-    }
-    for (size_t i = 0; i < engines.size(); ++i) {
-      ASSERT_EQ(direct_records[i].size(), service_records[i].size())
-          << "seed " << seed << " instance " << i;
-      for (size_t r = 0; r < direct_records[i].size(); ++r) {
-        const core::RoundRecord& direct = direct_records[i][r];
-        const StepOutcome& served = service_records[i][r];
-        EXPECT_EQ(direct.round, served.round) << "seed " << seed;
-        EXPECT_EQ(direct.tasks, served.tasks) << "seed " << seed;
-        EXPECT_EQ(direct.answers, served.answers) << "seed " << seed;
-        EXPECT_EQ(direct.selected_entropy_bits,
-                  served.selected_entropy_bits)
-            << "seed " << seed;
-        EXPECT_EQ(direct.utility_bits, served.utility_bits)
-            << "seed " << seed;
-        EXPECT_EQ(direct.cumulative_cost, served.cumulative_cost)
-            << "seed " << seed;
-      }
-      // Final joints bit-for-bit.
-      EXPECT_EQ(engines[i].current(), session->joint(static_cast<int>(i)))
-          << "seed " << seed << " instance " << i;
-      EXPECT_EQ(engines[i].cost_spent(),
-                session->cost_spent(static_cast<int>(i)))
-          << "seed " << seed;
-    }
+TEST(ServiceDifferentialTest, EngineModeRandomSelectorReproducesEngines) {
+  const std::vector<core::golden::Run> goldens =
+      LoadGolden("engine_service_random_runs.txt");
+  ASSERT_EQ(goldens.size(), static_cast<size_t>(kSeeds))
+      << "missing or malformed golden";
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ASSERT_EQ(goldens[seed - 1].seed, seed);
+    const std::unique_ptr<Session> session =
+        RunService(RandomSelectorRequest(MakeWorkload(seed), seed), seed);
+    ExpectMatchesGolden(goldens[seed - 1], *session);
+  }
+}
+
+TEST(ServiceDifferentialTest, EngineModeArrivalReproducesEngines) {
+  const std::vector<core::golden::Run> goldens =
+      LoadGolden("engine_service_arrival_runs.txt");
+  ASSERT_EQ(goldens.size(), static_cast<size_t>(kSeeds))
+      << "missing or malformed golden";
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ASSERT_EQ(goldens[seed - 1].seed, seed);
+    const std::unique_ptr<Session> session =
+        RunWithArrival(MakeWorkload(seed), seed);
+    ExpectMatchesGolden(goldens[seed - 1], *session);
   }
 }
 

@@ -2,9 +2,10 @@
 /// instances mid-run via Session::AddInstances. Pins the budget
 /// accounting per mode (engine grants budget_per_instance per arrival
 /// and rejects additional_budget; schedulers bank additional_budget
-/// globally), done-state revival, arrival validation, and that a grown
-/// session keeps serving the ORIGINAL instances' streams untouched while
-/// the arrivals get their own per-index provider seeds.
+/// globally), done-state revival, arrival validation (a rejected batch
+/// changes nothing), and that a grown session keeps serving the ORIGINAL
+/// instances' streams untouched while the arrivals get their own
+/// per-index provider seeds.
 
 #include <gtest/gtest.h>
 
@@ -147,6 +148,46 @@ TEST_F(SessionGrowthTest, ValidatesArrivalsBeforeBindingAny) {
 
   // Nothing bound: the batch is validated before any instance lands.
   EXPECT_EQ(session->num_instances(), 2);
+}
+
+TEST_F(SessionGrowthTest, RejectedBatchLeavesTheSessionUnchanged) {
+  // The batch's second spec fails only when its provider is built (the
+  // crowd rejects statement category 99), after the first one validated.
+  for (const RunMode mode : {RunMode::kEngine, RunMode::kPipelined}) {
+    SCOPED_TRACE(RunModeName(mode));
+    FusionRequest request = GrowableRequest(mode);
+    request.instances.pop_back();
+    const int additional_budget = mode == RunMode::kEngine ? 0 : 3;
+    const InstanceSpec late =
+        MakeInstance("late", {0.45, 0.65, 0.25}, {true, true, false});
+
+    auto session = CreateOrDie(request);
+    InstanceSpec bad = MakeInstance("bad", {0.4, 0.6}, {true, false});
+    bad.categories = {99, 0};
+    auto rejected = session->AddInstances(
+        {MakeInstance("valid", {0.5, 0.5}, {true, false}), bad},
+        additional_budget);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(session->num_instances(), 1);
+    EXPECT_EQ(session->Poll().total_budget, 3);
+
+    // The next arrival binds exactly as on a session that never saw the
+    // rejected batch: same index, same provider seeds, same answers.
+    auto reference = CreateOrDie(request);
+    ASSERT_TRUE(reference->AddInstances({late}, additional_budget).ok());
+    auto first = session->AddInstances({late}, additional_budget);
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_EQ(*first, 1);
+    Drain(*reference);
+    Drain(*session);
+    ASSERT_EQ(session->num_instances(), reference->num_instances());
+    for (int i = 0; i < session->num_instances(); ++i) {
+      EXPECT_EQ(session->joint(i), reference->joint(i)) << "instance " << i;
+      EXPECT_EQ(session->cost_spent(i), reference->cost_spent(i));
+    }
+    EXPECT_EQ(session->Poll().total_budget, reference->Poll().total_budget);
+  }
 }
 
 TEST_F(SessionGrowthTest, SchedulerArrivalNeedsBudgetToRevive) {
