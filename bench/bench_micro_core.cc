@@ -1,9 +1,10 @@
 /// Google-benchmark micro benchmarks of the core primitives: entropy,
 /// marginalization, the BSC butterfly, answer-joint preprocessing,
-/// partition refinement (dense and sparse), Bayesian updates, and
-/// one-round selection. The custom main additionally times the sparse
-/// greedy at paper scale (n = 64, |O| = 10^5) and merges the measurement
-/// into the BENCH_greedy.json baseline.
+/// partition refinement (dense and sparse), Bayesian updates, one-round
+/// selection, and the JSON codec's dump and parse of fusion:run requests
+/// and replies. The custom main additionally times the sparse greedy at
+/// paper scale (n = 64, |O| = 10^5) and the codec, and merges the
+/// measurements into the BENCH_greedy.json baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +24,8 @@
 #include "core/random_selector.h"
 #include "core/sparse_refiner.h"
 #include "core/utility.h"
+#include "service/fusion_service.h"
+#include "service/request_json.h"
 
 namespace crowdfusion {
 namespace {
@@ -288,6 +291,142 @@ void BM_OptSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_OptSelect)->Arg(1)->Arg(2)->Arg(3);
 
+/// The JSON codec's wire documents: the request and reply of a
+/// fusion:run shaped like perfbench's online_small (2 books x 4 facts,
+/// scripted crowd, budget 4) and like its bulk_select (1 book, n = 64,
+/// support 500, k = 8 per step, simulated crowd, budget 64).
+struct WireDoc {
+  const char* name;
+  bool bulk;
+  bool reply;
+};
+constexpr WireDoc kSmallRequest{"small_request", false, false};
+constexpr WireDoc kSmallReply{"small_reply", false, true};
+constexpr WireDoc kBulkRequest{"bulk_request", true, false};
+constexpr WireDoc kBulkReply{"bulk_reply", true, true};
+constexpr WireDoc kWireDocs[] = {kSmallRequest, kSmallReply, kBulkRequest,
+                                 kBulkReply};
+
+service::FusionRequest CodecRequest(bool bulk) {
+  service::FusionRequest request;
+  request.mode = service::RunMode::kEngine;
+  request.label = bulk ? "select-0" : "small-0";
+  const int books = bulk ? 1 : 2;
+  const int facts = bulk ? 64 : 4;
+  for (int b = 0; b < books; ++b) {
+    service::InstanceSpec instance;
+    instance.name = "b";
+    instance.name += std::to_string(b);
+    if (bulk) {
+      instance.joint = bench::MakeSparseCorrelatedJoint(facts, 500, 7);
+    } else {
+      const std::vector<double> marginals = {0.3 + 0.1 * b, 0.55, 0.7, 0.25};
+      auto joint = core::JointDistribution::FromIndependentMarginals(marginals);
+      CF_CHECK(joint.ok());
+      instance.joint = std::move(joint).value();
+    }
+    for (int f = 0; f < facts; ++f) instance.truths.push_back(f % 3 == 0);
+    request.instances.push_back(std::move(instance));
+  }
+  if (bulk) {
+    request.selector.kind = "greedy";
+    request.selector.preprocessing_threads = 1;
+    request.provider.kind = "simulated_crowd";
+    request.provider.accuracy = 0.8;
+    request.provider.seed = 11;
+    request.assumed_pc = 0.8;
+    request.budget.budget_per_instance = 64;
+    request.budget.tasks_per_step = 8;
+  } else {
+    request.provider.kind = "scripted";
+    request.provider.script = {true, false, true, true};
+    request.budget.budget_per_instance = 4;
+  }
+  return request;
+}
+
+common::JsonValue CodecDocument(const WireDoc& doc) {
+  const service::FusionRequest request = CodecRequest(doc.bulk);
+  if (!doc.reply) return service::FusionRequestToJson(request);
+  auto response = service::FusionService().Run(request);
+  CF_CHECK(response.ok()) << response.status().ToString();
+  return service::FusionResponseToJson(*response);
+}
+
+void BM_JsonDump(benchmark::State& state, const WireDoc& doc) {
+  const common::JsonValue json = CodecDocument(doc);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = json.Dump();
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * bytes));
+}
+BENCHMARK_CAPTURE(BM_JsonDump, small_request, kSmallRequest);
+BENCHMARK_CAPTURE(BM_JsonDump, small_reply, kSmallReply);
+BENCHMARK_CAPTURE(BM_JsonDump, bulk_request, kBulkRequest);
+BENCHMARK_CAPTURE(BM_JsonDump, bulk_reply, kBulkReply);
+
+void BM_JsonParse(benchmark::State& state, const WireDoc& doc) {
+  const std::string text = CodecDocument(doc).Dump();
+  for (auto _ : state) {
+    auto parsed = common::JsonValue::Parse(text);
+    CF_CHECK(parsed.ok());
+    benchmark::DoNotOptimize(parsed);
+  }
+  state.SetBytesProcessed(
+      static_cast<int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK_CAPTURE(BM_JsonParse, small_request, kSmallRequest);
+BENCHMARK_CAPTURE(BM_JsonParse, small_reply, kSmallReply);
+BENCHMARK_CAPTURE(BM_JsonParse, bulk_request, kBulkRequest);
+BENCHMARK_CAPTURE(BM_JsonParse, bulk_reply, kBulkReply);
+
+/// Best-of-5 mean time of one `op` call, in ms, over batches of `batch`.
+template <typename Op>
+double BestMeanMs(int batch, const Op& op) {
+  double best_seconds = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    const common::Stopwatch timer;
+    for (int i = 0; i < batch; ++i) op();
+    const double seconds = timer.ElapsedSeconds() / batch;
+    if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
+  }
+  return best_seconds * 1e3;
+}
+
+/// Ledger rows for the codec: common.json_dump[<doc>] and
+/// common.json_parse[<doc>], keyed by facts per book (n), support per book
+/// and books (k).
+void AddCodecRows(common::BenchReport& report) {
+  for (const WireDoc& doc : kWireDocs) {
+    const common::JsonValue json = CodecDocument(doc);
+    const std::string text = json.Dump();
+    const int batch = doc.bulk ? 200 : 2000;
+    const double dump_ms = BestMeanMs(batch, [&] {
+      benchmark::DoNotOptimize(json.Dump().size());
+    });
+    const double parse_ms = BestMeanMs(batch, [&] {
+      CF_CHECK(common::JsonValue::Parse(text).ok());
+    });
+    for (const bool dump : {true, false}) {
+      common::BenchRecord record;
+      record.config =
+          std::string(dump ? "common.json_dump[" : "common.json_parse[") +
+          doc.name + "]";
+      record.n = doc.bulk ? 64 : 4;
+      record.support = doc.bulk ? 500 : 16;
+      record.k = doc.bulk ? 1 : 2;
+      record.wall_ms = dump ? dump_ms : parse_ms;
+      report.Add(std::move(record));
+    }
+    std::printf("json codec [%s, %zu bytes]: dump %.1f us, parse %.1f us\n",
+                doc.name, text.size(), dump_ms * 1e3, parse_ms * 1e3);
+  }
+}
+
 /// Times one full sparse greedy selection at paper scale and merges it
 /// into the shared baseline file next to bench_table5_runtime's rows.
 int EmitBaseline(const std::string& report_path) {
@@ -359,6 +498,7 @@ int EmitBaseline(const std::string& report_path) {
                 static_cast<int>(candidates.size()), joint.support_size(),
                 best_seconds * 1e3);
   }
+  AddCodecRows(report);
   const common::Status written = report.MergeToFile(report_path);
   if (!written.ok()) {
     std::fprintf(stderr, "failed to write %s: %s\n", report_path.c_str(),

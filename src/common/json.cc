@@ -1,10 +1,10 @@
 #include "common/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 
 #include "common/string_util.h"
@@ -77,204 +77,241 @@ void JsonValue::Set(std::string key, JsonValue value) {
 
 void JsonValue::Append(JsonValue value) { array().push_back(std::move(value)); }
 
+void AppendJsonEscaped(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\b':
+        out->append("\\b");
+        break;
+      case '\f':
+        out->append("\\f");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default:  // the other control bytes, as \u00xx
+        out->append("\\u00");
+        out->push_back(kHex[c >> 4]);
+        out->push_back(kHex[c & 0xF]);
+    }
+  }
+  out->append(text.data() + run, text.size() - run);
+  out->push_back('"');
+}
+
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
-  out.push_back('"');
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  out.push_back('"');
+  AppendJsonEscaped(text, &out);
   return out;
 }
 
-namespace {
+void AppendDouble17g(double value, std::string* out) {
+  // The longest %.17g spelling is 24 bytes ("-1.2345678901234567e-308").
+  char buffer[32];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                                    std::chars_format::general, 17);
+  out->append(buffer, result.ptr);
+}
 
-void DumpTo(const JsonValue& value, int indent, int depth, std::string& out) {
+void JsonValue::DumpTo(int indent, int depth, std::string* out) const {
   const bool pretty = indent >= 0;
   // Indentation is appended directly (never materialized as strings):
   // scalars dominate real documents and need none of it.
   const auto pad = [&] {
-    out.append(static_cast<size_t>(indent * (depth + 1)), ' ');
+    out->append(static_cast<size_t>(indent * (depth + 1)), ' ');
   };
   const auto close_pad = [&] {
-    out.append(static_cast<size_t>(indent * depth), ' ');
+    out->append(static_cast<size_t>(indent * depth), ' ');
   };
-  switch (value.kind()) {
-    case JsonValue::Kind::kNull:
-      out += "null";
+  switch (kind()) {
+    case Kind::kNull:
+      out->append("null");
       return;
-    case JsonValue::Kind::kBool:
-      out += value.GetBool().value() ? "true" : "false";
+    case Kind::kBool:
+      out->append(std::get<bool>(rep_) ? "true" : "false");
       return;
-    case JsonValue::Kind::kInt:
-      out += std::to_string(value.GetInt().value());
+    case Kind::kInt: {
+      char buffer[24];  // int64 min is 20 bytes
+      const auto result = std::to_chars(buffer, buffer + sizeof(buffer),
+                                        std::get<int64_t>(rep_));
+      out->append(buffer, result.ptr);
       return;
-    case JsonValue::Kind::kDouble: {
-      const double d = value.GetDouble().value();
+    }
+    case Kind::kDouble: {
+      const double d = std::get<double>(rep_);
       if (std::isnan(d)) {
-        out += "null";  // JSON has no NaN; null is the conventional stand-in.
+        out->append("null");  // JSON has no NaN; null is the stand-in.
       } else if (std::isinf(d)) {
-        out += d > 0 ? "1e999" : "-1e999";  // parses back to +-infinity
+        out->append(d > 0 ? "1e999" : "-1e999");  // parses back to +-inf
       } else {
-        // 17 significant digits: doubles round-trip bit-exactly. Integral
-        // doubles get an explicit ".0" so they reparse as kDouble, not
-        // kInt — Parse(Dump(x)) == x holds for the kind too.
-        const size_t start = out.size();
-        out += StrFormat("%.17g", d);
-        if (out.find_first_of(".eE", start) == std::string::npos) {
-          out += ".0";
+        // Integral doubles get an explicit ".0" so they reparse as
+        // kDouble, not kInt — Parse(Dump(x)) == x holds for the kind too.
+        const size_t start = out->size();
+        AppendDouble17g(d, out);
+        if (out->find_first_of(".e", start) == std::string::npos) {
+          out->append(".0");
         }
       }
       return;
     }
-    case JsonValue::Kind::kString:
-      out += JsonEscape(value.GetString().value());
+    case Kind::kString:
+      AppendJsonEscaped(string(), out);
       return;
-    case JsonValue::Kind::kArray: {
-      const auto& items = value.array();
+    case Kind::kArray: {
+      const auto& items = array();
       if (items.empty()) {
-        out += "[]";
+        out->append("[]");
         return;
       }
-      out.push_back('[');
+      out->push_back('[');
       for (size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) out.push_back(',');
+        if (i > 0) out->push_back(',');
         if (pretty) {
-          out.push_back('\n');
+          out->push_back('\n');
           pad();
         }
-        DumpTo(items[i], indent, depth + 1, out);
+        items[i].DumpTo(indent, depth + 1, out);
       }
       if (pretty) {
-        out.push_back('\n');
+        out->push_back('\n');
         close_pad();
       }
-      out.push_back(']');
+      out->push_back(']');
       return;
     }
-    case JsonValue::Kind::kObject: {
-      const auto& members = value.object();
+    case Kind::kObject: {
+      const auto& members = object();
       if (members.empty()) {
-        out += "{}";
+        out->append("{}");
         return;
       }
-      out.push_back('{');
+      out->push_back('{');
       for (size_t i = 0; i < members.size(); ++i) {
-        if (i > 0) out.push_back(',');
+        if (i > 0) out->push_back(',');
         if (pretty) {
-          out.push_back('\n');
+          out->push_back('\n');
           pad();
         }
-        out += JsonEscape(members[i].first);
-        out.push_back(':');
-        if (pretty) out.push_back(' ');
-        DumpTo(members[i].second, indent, depth + 1, out);
+        AppendJsonEscaped(members[i].first, out);
+        out->push_back(':');
+        if (pretty) out->push_back(' ');
+        members[i].second.DumpTo(indent, depth + 1, out);
       }
       if (pretty) {
-        out.push_back('\n');
+        out->push_back('\n');
         close_pad();
       }
-      out.push_back('}');
+      out->push_back('}');
       return;
     }
   }
 }
 
+namespace {
+
+/// RFC 8259 byte classes. std::isspace would also admit \v and \f, and
+/// both <cctype> calls go through the locale.
+bool IsJsonWhitespace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
 /// Recursive-descent parser over a string_view with a hard depth cap (the
-/// fuzz seeds include pathological nesting).
+/// fuzz seeds include pathological nesting). Container elements are
+/// parsed onto one shared stack and moved into an exactly-sized vector
+/// when the container closes, so a container costs one allocation however
+/// many elements it has.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   common::Result<JsonValue> ParseDocument() {
-    CF_ASSIGN_OR_RETURN(JsonValue value, ParseValue(0));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Fail("trailing characters after JSON document");
+    JsonValue value;
+    if (ParseValue(0, &value)) {
+      SkipWhitespace();
+      if (pos_ == text_.size()) return value;
+      Fail("trailing characters after JSON document");
     }
-    return value;
+    return std::move(error_);
   }
 
  private:
   static constexpr int kMaxDepth = 64;
 
-  common::Result<JsonValue> ParseValue(int depth) {
+  // The Parse* members fill *out and return true, or record the error in
+  // error_ (via Fail) and return false: no Result is built per value.
+  bool ParseValue(int depth, JsonValue* out) {
     if (depth > kMaxDepth) return Fail("JSON nesting too deep");
     SkipWhitespace();
     if (pos_ >= text_.size()) return Fail("unexpected end of JSON input");
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(depth);
+        return ParseObject(depth, out);
       case '[':
-        return ParseArray(depth);
+        return ParseArray(depth, out);
       case '"': {
-        CF_ASSIGN_OR_RETURN(std::string s, ParseString());
-        return JsonValue(std::move(s));
+        std::string text;
+        if (!ParseString(&text)) return false;
+        *out = JsonValue(std::move(text));
+        return true;
       }
       case 't':
-        CF_RETURN_IF_ERROR(Expect("true"));
-        return JsonValue(true);
+        return Expect("true", JsonValue(true), out);
       case 'f':
-        CF_RETURN_IF_ERROR(Expect("false"));
-        return JsonValue(false);
+        return Expect("false", JsonValue(false), out);
       case 'n':
-        CF_RETURN_IF_ERROR(Expect("null"));
-        return JsonValue(nullptr);
+        return Expect("null", JsonValue(nullptr), out);
       default:
-        return ParseNumber();
+        return ParseNumber(out);
     }
   }
 
-  common::Result<JsonValue> ParseObject(int depth) {
+  bool ParseObject(int depth, JsonValue* out) {
     ++pos_;  // consume '{'
-    JsonValue object = JsonValue::MakeObject();
+    const size_t base = members_.size();
     SkipWhitespace();
     if (Peek() == '}') {
       ++pos_;
-      return object;
+      *out = JsonValue::MakeObject();
+      return true;
     }
     for (;;) {
       SkipWhitespace();
       if (Peek() != '"') return Fail("expected object key string");
-      CF_ASSIGN_OR_RETURN(std::string key, ParseString());
-      if (object.Find(key) != nullptr) {
-        return Fail("duplicate object key \"" + key + "\"");
+      std::string key;
+      if (!ParseString(&key)) return false;
+      for (size_t i = base; i < members_.size(); ++i) {
+        if (members_[i].first == key) {
+          return Fail("duplicate object key \"" + key + "\"");
+        }
       }
       SkipWhitespace();
       if (Peek() != ':') return Fail("expected ':' after object key");
       ++pos_;
-      CF_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      object.Set(std::move(key), std::move(value));
+      JsonValue value;
+      if (!ParseValue(depth + 1, &value)) return false;
+      members_.emplace_back(std::move(key), std::move(value));
       SkipWhitespace();
       const char c = Peek();
       if (c == ',') {
@@ -283,23 +320,26 @@ class Parser {
       }
       if (c == '}') {
         ++pos_;
-        return object;
+        *out = JsonValue(Pop(members_, base));
+        return true;
       }
       return Fail("expected ',' or '}' in object");
     }
   }
 
-  common::Result<JsonValue> ParseArray(int depth) {
+  bool ParseArray(int depth, JsonValue* out) {
     ++pos_;  // consume '['
-    JsonValue array = JsonValue::MakeArray();
+    const size_t base = items_.size();
     SkipWhitespace();
     if (Peek() == ']') {
       ++pos_;
-      return array;
+      *out = JsonValue::MakeArray();
+      return true;
     }
     for (;;) {
-      CF_ASSIGN_OR_RETURN(JsonValue value, ParseValue(depth + 1));
-      array.Append(std::move(value));
+      JsonValue value;
+      if (!ParseValue(depth + 1, &value)) return false;
+      items_.push_back(std::move(value));
       SkipWhitespace();
       const char c = Peek();
       if (c == ',') {
@@ -308,170 +348,199 @@ class Parser {
       }
       if (c == ']') {
         ++pos_;
-        return array;
+        *out = JsonValue(Pop(items_, base));
+        return true;
       }
       return Fail("expected ',' or ']' in array");
     }
   }
 
-  common::Result<std::string> ParseString() {
+  /// Moves stack[base, end) into a new vector and shrinks the stack back.
+  template <typename T>
+  static std::vector<T> Pop(std::vector<T>& stack, size_t base) {
+    const auto first = stack.begin() + static_cast<ptrdiff_t>(base);
+    std::vector<T> elements(std::make_move_iterator(first),
+                            std::make_move_iterator(stack.end()));
+    stack.erase(first, stack.end());
+    return elements;
+  }
+
+  /// Appends the decoded string body to *out.
+  bool ParseString(std::string* out) {
     ++pos_;  // consume '"'
-    std::string out;
-    while (pos_ < text_.size()) {
+    for (;;) {
+      // Copy the run of plain bytes up to the next quote, backslash or
+      // (forbidden) raw control byte in one append.
+      const size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      out->append(text_.data() + run, pos_ - run);
+      if (pos_ >= text_.size()) return Fail("unterminated string");
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
-        return out;
+        return true;
       }
-      if (c == '\\') {
-        if (pos_ + 1 >= text_.size()) return Fail("dangling escape");
-        const char esc = text_[pos_ + 1];
-        pos_ += 2;
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
-            unsigned int code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_ + static_cast<size_t>(i)];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned int>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned int>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned int>(h - 'A' + 10);
-              } else {
-                return Fail("bad \\u escape digit");
-              }
-            }
-            pos_ += 4;
-            // UTF-8 encode the BMP code point (surrogate pairs are not
-            // produced by this repo's emitters; reject them cleanly).
-            if (code >= 0xD800 && code <= 0xDFFF) {
-              return Fail("surrogate \\u escapes are not supported");
-            }
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+      if (c != '\\') return Fail("raw control character in string");
+      if (pos_ + 1 >= text_.size()) return Fail("dangling escape");
+      const char esc = text_[pos_ + 1];
+      pos_ += 2;
+      switch (esc) {
+        case '"':
+          out->push_back('"');
+          break;
+        case '\\':
+          out->push_back('\\');
+          break;
+        case '/':
+          out->push_back('/');
+          break;
+        case 'b':
+          out->push_back('\b');
+          break;
+        case 'f':
+          out->push_back('\f');
+          break;
+        case 'n':
+          out->push_back('\n');
+          break;
+        case 'r':
+          out->push_back('\r');
+          break;
+        case 't':
+          out->push_back('\t');
+          break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
+          unsigned int code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_ + static_cast<size_t>(i)];
+            code <<= 4;
+            if (h >= '0' && h <= '9') {
+              code |= static_cast<unsigned int>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              code |= static_cast<unsigned int>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              code |= static_cast<unsigned int>(h - 'A' + 10);
             } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+              return Fail("bad \\u escape digit");
             }
-            break;
           }
-          default:
-            return Fail("unknown escape sequence");
+          pos_ += 4;
+          // UTF-8 encode the BMP code point (surrogate pairs are not
+          // produced by this repo's emitters; reject them cleanly).
+          if (code >= 0xD800 && code <= 0xDFFF) {
+            return Fail("surrogate \\u escapes are not supported");
+          }
+          if (code < 0x80) {
+            out->push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
+          break;
         }
-        continue;
+        default:
+          return Fail("unknown escape sequence");
       }
-      out.push_back(c);
-      ++pos_;
     }
-    return Fail("unterminated string");
   }
 
-  common::Result<JsonValue> ParseNumber() {
+  /// Consumes one or more digits; false (nothing consumed) on none.
+  bool ScanDigits() {
+    if (!IsDigit(Peek())) return false;
+    while (IsDigit(Peek())) ++pos_;
+    return true;
+  }
+
+  /// Scans the RFC 8259 number grammar
+  /// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and converts it.
+  bool ParseNumber(JsonValue* out) {
     const size_t start = pos_;
     if (Peek() == '-') ++pos_;
-    bool is_double = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
-      }
+    if (Peek() == '0') {
+      ++pos_;  // a leading zero stands alone: "01" ends after the "0"
+    } else if (!ScanDigits()) {
+      return Fail("malformed number");
     }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") return Fail("malformed number");
+    bool is_double = false;
+    if (Peek() == '.') {
+      ++pos_;
+      if (!ScanDigits()) return Fail("malformed number");
+      is_double = true;
+    }
+    if (Peek() == 'e' || Peek() == 'E') {
+      ++pos_;
+      if (Peek() == '+' || Peek() == '-') ++pos_;
+      if (!ScanDigits()) return Fail("malformed number");
+      is_double = true;
+    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
     if (!is_double) {
       int64_t integer = 0;
-      const auto [ptr, ec] = std::from_chars(
-          token.data(), token.data() + token.size(), integer);
-      if (ec == std::errc() && ptr == token.data() + token.size()) {
-        return JsonValue(integer);
+      const auto [ptr, ec] = std::from_chars(first, last, integer);
+      if (ec == std::errc()) {
+        *out = JsonValue(integer);
+        return true;
       }
       // Out-of-range integer literal: fall through to double parsing.
     }
     double number = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), number);
-    if (ec == std::errc::result_out_of_range &&
-        ptr == token.data() + token.size()) {
+    const auto [ptr, ec] = std::from_chars(first, last, number);
+    if (ec == std::errc::result_out_of_range) {
       // from_chars reports out-of-range for BOTH overflow and underflow.
       // strtod distinguishes them: overflow saturates to +-HUGE_VAL (the
       // 1e999 infinity convention), underflow to ~0 — a literal like
       // 1e-999 must parse as zero, not infinity.
-      return JsonValue(std::strtod(std::string(token).c_str(), nullptr));
-    }
-    if (ec != std::errc() || ptr != token.data() + token.size()) {
+      number = std::strtod(std::string(first, last).c_str(), nullptr);
+    } else if (ec != std::errc() || ptr != last) {
       return Fail("malformed number");
     }
-    return JsonValue(number);
+    *out = JsonValue(number);
+    return true;
   }
 
-  Status Expect(std::string_view literal) {
+  bool Expect(std::string_view literal, JsonValue value, JsonValue* out) {
     if (text_.substr(pos_, literal.size()) != literal) {
       return Fail("malformed JSON literal");
     }
     pos_ += literal.size();
-    return Status::Ok();
+    *out = std::move(value);
+    return true;
   }
 
   void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
+    while (pos_ < text_.size() && IsJsonWhitespace(text_[pos_])) ++pos_;
   }
 
   char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
 
-  Status Fail(std::string message) const {
-    return Status::InvalidArgument(
-        StrFormat("JSON parse error at offset %zu: %s", pos_,
-                  message.c_str()));
+  bool Fail(const std::string& message) {
+    error_ = Status::InvalidArgument(StrFormat(
+        "JSON parse error at offset %zu: %s", pos_, message.c_str()));
+    return false;
   }
 
   std::string_view text_;
   size_t pos_ = 0;
+  std::vector<JsonValue> items_;
+  JsonValue::Object members_;
+  Status error_;
 };
 
 }  // namespace
 
 std::string JsonValue::Dump(int indent) const {
   std::string out;
-  DumpTo(*this, indent, 0, out);
+  DumpTo(indent, 0, &out);
   return out;
 }
 

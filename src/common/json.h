@@ -18,13 +18,24 @@ namespace crowdfusion::common {
 /// repo needs no third-party JSON dependency.
 ///
 /// Design constraints, in order:
-///  * Lossless round-trips for doubles (emitted with 17 significant
-///    digits) and for 64-bit integers up to the full int64 range (kept in
-///    a dedicated integer alternative, not squeezed through a double).
+///  * Lossless round-trips for doubles and for 64-bit integers up to the
+///    full int64 range (kept in a dedicated integer alternative, not
+///    squeezed through a double). Doubles are emitted exactly as printf's
+///    "%.17g" spells them, produced by std::to_chars (AppendDouble17g);
+///    an integral double gains ".0" so it reparses as a double, NaN is
+///    emitted as null and +-infinity as +-1e999.
 ///  * Deterministic output: object members keep insertion order, so a
 ///    parse -> dump cycle reproduces the input byte-for-byte (modulo
 ///    whitespace), which the request-fuzz round-trip tests rely on.
-///  * Library error handling: Parse returns a Status instead of throwing.
+///  * Strict RFC 8259 input. Whitespace is space, tab, LF and CR only.
+///    Strings may not hold raw control bytes (< 0x20). Numbers follow
+///    -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, so "01", ".5",
+///    "1." and "1.e5" are rejected. A number without fraction or exponent
+///    that fits int64 parses as kInt, every other number as kDouble; a
+///    literal too large for a double saturates to +-infinity, and one too
+///    small for it reads as zero.
+///  * Library error handling: Parse returns a Status instead of throwing;
+///    every malformed document is kInvalidArgument.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
@@ -66,6 +77,7 @@ class JsonValue {
   common::Result<std::string> GetString() const;
 
   /// Unchecked views; precondition: matching kind() (aborts otherwise).
+  const std::string& string() const { return std::get<std::string>(rep_); }
   const Array& array() const { return std::get<Array>(rep_); }
   Array& array() { return std::get<Array>(rep_); }
   const Object& object() const { return std::get<Object>(rep_); }
@@ -96,6 +108,8 @@ class JsonValue {
   }
 
  private:
+  void DumpTo(int indent, int depth, std::string* out) const;
+
   std::variant<std::nullptr_t, bool, int64_t, double, std::string, Array,
                Object>
       rep_;
@@ -103,6 +117,14 @@ class JsonValue {
 
 /// Escapes a string for embedding in JSON output (quotes included).
 std::string JsonEscape(std::string_view text);
+
+/// Appends JsonEscape(text) to `out` without a temporary string.
+void AppendJsonEscaped(std::string_view text, std::string* out);
+
+/// Appends `value` exactly as printf("%.17g") spells it: 17 significant
+/// digits, so every finite double round-trips bit for bit. Formatted by
+/// std::to_chars, so it needs no locale and no heap beyond `out`.
+void AppendDouble17g(double value, std::string* out);
 
 }  // namespace crowdfusion::common
 

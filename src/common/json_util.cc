@@ -71,8 +71,7 @@ Status JsonReadU64(const JsonValue& obj, const char* key, uint64_t* out) {
   const JsonValue* member = obj.Find(key);
   if (member == nullptr) return Status::Ok();
   if (member->is_string()) {
-    CF_ASSIGN_OR_RETURN(const std::string text, member->GetString());
-    CF_ASSIGN_OR_RETURN(*out, JsonParseU64Text(text));
+    CF_ASSIGN_OR_RETURN(*out, JsonParseU64Text(member->string()));
     return Status::Ok();
   }
   CF_ASSIGN_OR_RETURN(const int64_t wide, member->GetInt());

@@ -298,10 +298,12 @@ common::Result<core::JointDistribution> JointFromJson(const JsonValue& json) {
       return Status::InvalidArgument(
           "joint entry must be a [mask, probability] pair");
     }
+    const JsonValue& mask = item.array()[0];
+    if (!mask.is_string()) {
+      return Status::InvalidArgument("JSON value is not a string");
+    }
     core::JointDistribution::Entry entry;
-    CF_ASSIGN_OR_RETURN(const std::string mask_text,
-                        item.array()[0].GetString());
-    CF_ASSIGN_OR_RETURN(entry.mask, JsonParseU64Text(mask_text));
+    CF_ASSIGN_OR_RETURN(entry.mask, JsonParseU64Text(mask.string()));
     CF_ASSIGN_OR_RETURN(entry.prob, item.array()[1].GetDouble());
     parsed.push_back(entry);
   }

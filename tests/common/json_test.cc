@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <random>
+#include <string>
 
 namespace crowdfusion::common {
 namespace {
@@ -111,11 +115,86 @@ TEST(JsonValueTest, ParseErrors) {
   for (const char* bad :
        {"", "{", "[1,", "tru", "nul", "{\"a\" 1}", "{\"a\":1,}", "[1 2]",
         "\"\\q\"", "\"unterminated", "01x", "-", "{}extra",
-        "{\"a\":1,\"a\":2}", "\"\\ud800\""}) {
+        "{\"a\":1,\"a\":2}", "\"\\ud800\"",
+        // RFC 8259 number grammar: no leading zeros, no bare or trailing
+        // decimal point.
+        "01", "-01", "00", "[01]", ".5", "-.5", "1.", "1.e5", "1e",
+        "1e+", "+1",
+        // Raw control bytes inside strings, and \v / \f as whitespace.
+        "\"a\x01\"", "\"tab\there\"", "\"\x1f\"", "\v1", "1\f",
+        "[1,\v2]"}) {
     auto parsed = JsonValue::Parse(bad);
     EXPECT_FALSE(parsed.ok()) << "accepted: " << bad;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;
   }
+}
+
+TEST(JsonValueTest, ParseAcceptsTheRfcNumberGrammar) {
+  for (const char* good : {"0", "-0", "10", "0.5", "-0.5", "1e5", "1E+5",
+                           "1e-05", "0e0", "-12.25e2", " \t\r\n7 "}) {
+    auto parsed = JsonValue::Parse(good);
+    EXPECT_TRUE(parsed.ok()) << good << ": " << parsed.status().ToString();
+  }
+  EXPECT_EQ(JsonValue::Parse("-12.25e2")->GetDouble().value(), -1225.0);
+  EXPECT_TRUE(JsonValue::Parse("10")->is_int());
+  EXPECT_FALSE(JsonValue::Parse("1e5")->is_int());
+}
+
+/// The %.17g spelling of `value` plus Dump's ".0" rule for integral
+/// doubles: the wire format every JSON document in the repo carries.
+std::string Printf17g(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  std::string text = buffer;
+  if (text.find_first_of(".e") == std::string::npos) text += ".0";
+  return text;
+}
+
+TEST(JsonValueTest, DumpMatchesPrintf17g) {
+  const double max = std::numeric_limits<double>::max();
+  for (const double value :
+       {0.0, -0.0, 5e-324, -5e-324, max, -max, 1e16, 1e17, -1e16, -1e17,
+        99999999999999999.0, 9999999999999998.0, 1e-5, 1e-4, 0.1, 1.0 / 3.0,
+        2.2250738585072014e-308, 123456789012345678.0}) {
+    EXPECT_EQ(JsonValue(value).Dump(), Printf17g(value)) << value;
+  }
+  std::mt19937_64 rng(20240917);
+  int checked = 0;
+  for (int i = 0; i < 1000000; ++i) {
+    const double value = std::bit_cast<double>(rng());
+    if (!std::isfinite(value)) continue;
+    ++checked;
+    const std::string dumped = JsonValue(value).Dump();
+    if (dumped != Printf17g(value)) {
+      ADD_FAILURE() << "bits " << std::bit_cast<uint64_t>(value) << ": "
+                    << dumped << " != " << Printf17g(value);
+      break;
+    }
+  }
+  EXPECT_GT(checked, 990000);
+}
+
+TEST(JsonValueTest, EscapesEveryAsciiByteAsBefore) {
+  std::string ascii;
+  for (int c = 0; c < 0x80; ++c) ascii.push_back(static_cast<char>(c));
+  // JsonEscape's output before the escaper wrote straight into the dump
+  // buffer: short escapes for \b \t \n \f \r, lowercase \u00xx for the
+  // other control bytes, DEL passed through.
+  const std::string expected =
+      R"json("\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\b\t\n\u000b)json"
+      R"json(\f\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016)json"
+      R"json(\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f !\"#$%)json"
+      R"json(&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`a)json"
+      R"json(bcdefghijklmnopqrstuvwxyz{|}~)json"
+      "\x7f\"";
+  EXPECT_EQ(JsonEscape(ascii), expected);
+  EXPECT_EQ(JsonValue(ascii).Dump(), expected);
+  JsonValue object = JsonValue::MakeObject();
+  object.Set(ascii, 1);
+  EXPECT_EQ(object.Dump(), "{" + expected + ":1}");
+  auto parsed = JsonValue::Parse(expected);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->string(), ascii);
 }
 
 TEST(JsonValueTest, DepthCapStopsNestingBombs) {
