@@ -219,8 +219,6 @@ void BM_SparseGreedySelect(benchmark::State& state) {
   core::GreedySelector::Options options;
   options.use_pruning = true;
   options.use_preprocessing = true;
-  options.preprocessing_mode =
-      core::GreedySelector::PreprocessingMode::kSparse;
   core::GreedySelector selector(options);
   for (auto _ : state) {
     core::SelectionRequest request;
@@ -448,7 +446,6 @@ int EmitBaseline(const std::string& report_path) {
   auto selection = selector.Select(request);
   const double seconds = timer.ElapsedSeconds();
   CF_CHECK(selection.ok()) << selection.status().ToString();
-  CF_CHECK(selection->stats.sparse_preprocessing);
 
   common::BenchReport report("bench_micro_core");
   common::BenchRecord record;

@@ -7,7 +7,17 @@
 # intentional serving-behavior change.
 #
 # usage: ci/serve_e2e.sh <path-to-crowdfusion_cli> [workdir]
+#
+# Exits 77 (ctest's SKIP_RETURN_CODE for the `serve_e2e` test) when curl
+# or python3 is not installed.
 set -euo pipefail
+
+for tool in curl python3; do
+  if ! command -v "$tool" >/dev/null 2>&1; then
+    echo "SKIP: $tool not found"
+    exit 77
+  fi
+done
 
 CLI="${1:?usage: serve_e2e.sh <crowdfusion_cli> [workdir]}"
 WORK="${2:-$(mktemp -d)}"

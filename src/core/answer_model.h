@@ -38,12 +38,18 @@ double AnswerEntropyBitsBruteForce(const JointDistribution& joint,
                                    std::span<const int> tasks,
                                    const CrowdModel& crowd);
 
-/// The preprocessing stage (Section III-F): the full answer joint
-/// distribution over all 2^n answer patterns when every fact is asked
-/// (the paper's Table IV). Once built, the marginal answer distribution of
-/// any task set is obtained by partition refinement (Algorithm 2) in one
-/// scan per fact — this is what drops one greedy round from
-/// O(2^k n k^2 |O|) to O(n k |O|).
+/// The preprocessing stage (Section III-F) as the paper prints it: the full
+/// answer joint distribution over all 2^n answer patterns when every fact
+/// is asked (the paper's Table IV). Once built, the marginal answer
+/// distribution of any task set is obtained by partition refinement
+/// (Algorithm 2) in one scan per fact — this is what drops one greedy round
+/// from O(2^k n k^2 |O|) to O(n k |O|).
+///
+/// Reference only: this table and PartitionRefiner below are the dense
+/// Equation 2 oracle that tests and benches compare the
+/// SparsePartitionRefiner against (and the Table IV reproduction). No
+/// request path reaches them; GreedySelector preprocesses on the sparse
+/// refiner alone.
 class AnswerJointTable {
  public:
   /// Builds via the BSC butterfly in O(n * 2^n). Requires

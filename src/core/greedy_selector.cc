@@ -42,18 +42,22 @@ void RunGreedyLoop(
     const std::function<void(int)>& commit, Selection& selection) {
   double current_entropy = 0.0;  // H(∅) = 0.
   for (int iteration = 0; iteration < k; ++iteration) {
-    int best_fact = -1;
-    double best_entropy = -1.0;
+    if (active.empty()) break;  // No candidates remain.
     const std::vector<double> entropies = evaluate_all(active);
     selection.stats.evaluations += static_cast<int64_t>(active.size());
+    // Tie rule: every candidate within kEntropyTieBits of the maximum is
+    // tied, and the lowest fact id among them wins.
+    const double max_entropy =
+        *std::max_element(entropies.begin(), entropies.end());
+    int best_fact = -1;
+    double best_entropy = 0.0;
     for (size_t c = 0; c < active.size(); ++c) {
-      const double h = entropies[c];
-      if (h > best_entropy) {
-        best_entropy = h;
+      if (entropies[c] >= max_entropy - kEntropyTieBits &&
+          (best_fact < 0 || active[c] < best_fact)) {
         best_fact = active[c];
+        best_entropy = entropies[c];
       }
     }
-    if (best_fact < 0) break;  // No candidates remain.
     const double gain = best_entropy - current_entropy;
     if (gain <= options.min_gain_bits) break;  // K* < k (Algorithm 1, line 6).
 
@@ -85,9 +89,10 @@ void RunGreedyLoop(
     }
     if (static_cast<int>(survivors.size()) < remaining_slots &&
         !prunable.empty()) {
-      // Refill from the best prunable candidates.
+      // Refill from the best prunable candidates, ties to the lowest id.
       std::sort(prunable.begin(), prunable.end(), [&](size_t a, size_t b) {
-        return entropies[a] > entropies[b];
+        if (entropies[a] != entropies[b]) return entropies[a] > entropies[b];
+        return active[a] < active[b];
       });
       while (static_cast<int>(survivors.size()) < remaining_slots &&
              !prunable.empty()) {
@@ -106,48 +111,6 @@ void RunGreedyLoop(
 
 }  // namespace
 
-common::Result<bool> GreedySelector::ResolvePreprocessingEngine(
-    const JointDistribution& joint, int k) const {
-  const int n = joint.num_facts();
-  const bool can_dense = n <= JointDistribution::kMaxDenseFacts;
-  const bool can_sparse = k <= SparsePartitionRefiner::kMaxCommittedTasks;
-  switch (options_.preprocessing_mode) {
-    case PreprocessingMode::kDense:
-      if (!can_dense) {
-        return common::Status::InvalidArgument(common::StrFormat(
-            "dense preprocessing requires n <= %d, got %d",
-            JointDistribution::kMaxDenseFacts, n));
-      }
-      return false;
-    case PreprocessingMode::kSparse:
-      if (!can_sparse) {
-        return common::Status::InvalidArgument(common::StrFormat(
-            "sparse preprocessing caps k at %d, got %d",
-            SparsePartitionRefiner::kMaxCommittedTasks, k));
-      }
-      return true;
-    case PreprocessingMode::kAuto:
-      break;
-  }
-  // Auto: dense only when it is possible, the support already fills most
-  // of the 2^n table (so a sparse scan would touch nearly as many cells),
-  // and k fits no matter what.
-  const bool support_mostly_dense =
-      can_dense && (1ULL << n) <= 8ULL * static_cast<uint64_t>(
-                                            joint.support_size());
-  if (support_mostly_dense || !can_sparse) {
-    if (!can_dense) {
-      return common::Status::InvalidArgument(common::StrFormat(
-          "instance needs sparse preprocessing (n = %d > %d) but k = %d "
-          "exceeds its cap of %d tasks",
-          n, JointDistribution::kMaxDenseFacts, k,
-          SparsePartitionRefiner::kMaxCommittedTasks));
-    }
-    return false;
-  }
-  return true;
-}
-
 common::Result<Selection> GreedySelector::Select(
     const SelectionRequest& request) {
   CF_ASSIGN_OR_RETURN(std::vector<int> candidates,
@@ -157,42 +120,25 @@ common::Result<Selection> GreedySelector::Select(
   Selection selection;
 
   if (options_.use_preprocessing) {
-    CF_ASSIGN_OR_RETURN(const bool use_sparse,
-                        ResolvePreprocessingEngine(*request.joint, k));
-    const common::Stopwatch preprocessing_timer;
-    if (use_sparse) {
-      SparsePartitionRefiner::Options refiner_options;
-      refiner_options.num_threads = options_.preprocessing_threads;
-      refiner_options.simd = options_.simd;
-      SparsePartitionRefiner refiner(*request.joint, *request.crowd,
-                                     refiner_options);
-      selection.stats.preprocessing_seconds =
-          preprocessing_timer.ElapsedSeconds();
-      selection.stats.sparse_preprocessing = true;
-      RunGreedyLoop(
-          options_, std::move(candidates), k,
-          [&refiner](const std::vector<int>& active) {
-            return refiner.EntropiesWithCandidates(active);
-          },
-          [&refiner](int fact) { refiner.Commit(fact); }, selection);
-    } else {
-      CF_ASSIGN_OR_RETURN(
-          AnswerJointTable table,
-          AnswerJointTable::Build(*request.joint, *request.crowd));
-      selection.stats.preprocessing_seconds =
-          preprocessing_timer.ElapsedSeconds();
-      PartitionRefiner refiner(&table);
-      RunGreedyLoop(
-          options_, std::move(candidates), k,
-          [&refiner](const std::vector<int>& active) {
-            std::vector<double> entropies(active.size());
-            for (size_t c = 0; c < active.size(); ++c) {
-              entropies[c] = refiner.EntropyWithCandidate(active[c]);
-            }
-            return entropies;
-          },
-          [&refiner](int fact) { refiner.Commit(fact); }, selection);
+    if (k > SparsePartitionRefiner::kMaxCommittedTasks) {
+      return common::Status::InvalidArgument(common::StrFormat(
+          "preprocessed greedy caps k at %d tasks, got %d",
+          SparsePartitionRefiner::kMaxCommittedTasks, k));
     }
+    const common::Stopwatch preprocessing_timer;
+    SparsePartitionRefiner::Options refiner_options;
+    refiner_options.num_threads = options_.preprocessing_threads;
+    refiner_options.simd = options_.simd;
+    SparsePartitionRefiner refiner(*request.joint, *request.crowd,
+                                   refiner_options);
+    selection.stats.preprocessing_seconds =
+        preprocessing_timer.ElapsedSeconds();
+    RunGreedyLoop(
+        options_, std::move(candidates), k,
+        [&refiner](const std::vector<int>& active) {
+          return refiner.EntropiesWithCandidates(active);
+        },
+        [&refiner](int fact) { refiner.Commit(fact); }, selection);
   } else {
     std::vector<int> selected;
     RunGreedyLoop(

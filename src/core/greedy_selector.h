@@ -14,15 +14,22 @@ namespace crowdfusion::core {
 ///  * Pruning (Section III-E, Theorem 3): after each iteration, any fact
 ///    whose achievable total entropy upper bound falls below the iteration
 ///    maximum is removed from all future iterations.
-///  * Preprocessing (Section III-F, Algorithm 2): materialize the answer
-///    joint once per round, then obtain every candidate marginal by
-///    partition refinement in one O(|O|) scan, keeping the refined
-///    partition between iterations. Without it, every candidate is
+///  * Preprocessing (Section III-F, Algorithm 2): obtain every candidate
+///    marginal by partition refinement of the answer joint, keeping the
+///    refined partition between iterations. One engine runs it, the
+///    SparsePartitionRefiner, which scans the |O| output support directly
+///    (any n <= 64) and may shard candidate batches across threads. Its
+///    committed set is dense in 2^|T| cells, so a preprocessed request with
+///    k > SparsePartitionRefiner::kMaxCommittedTasks (20) fails with
+///    kInvalidArgument. Without preprocessing, every candidate is
 ///    evaluated by the literal Equation 2 scan, the paper's brute-force
-///    cost model. Two interchangeable refinement engines exist: the dense
-///    2^n answer table (n <= 30 only) and the sparse-support refiner
-///    (any n <= 64, scans the |O| outputs directly, optionally sharding
-///    candidate batches across threads); kAuto picks per instance.
+///    cost model.
+///
+/// Tie rule: candidates whose entropies lie within kEntropyTieBits of the
+/// iteration maximum are tied, and the lowest fact id wins; the pruning
+/// refill orders by (entropy desc, fact id asc) the same way. The refiner
+/// and the Equation 2 scan sum in different orders and so differ in the
+/// last ULPs; under this rule they select the same facts.
 ///
 /// On the pruning bound: the paper prunes f_j when
 ///   H(T ∪ {f_j}) + log2(k - |T| - 1) < max_t H(T ∪ {f_t}).
@@ -51,21 +58,10 @@ class GreedySelector : public TaskSelector {
     kAggressiveZero,
   };
 
-  /// Which partition-refinement engine backs use_preprocessing.
-  enum class PreprocessingMode {
-    /// Dense 2^n table when the support mostly fills it, sparse otherwise.
-    kAuto,
-    /// Always the dense answer table; fails for n > 30.
-    kDense,
-    /// Always the sparse-support refiner.
-    kSparse,
-  };
-
   struct Options {
     bool use_pruning = false;
     PruningBound pruning_bound = PruningBound::kPaperLog2;
     bool use_preprocessing = false;
-    PreprocessingMode preprocessing_mode = PreprocessingMode::kAuto;
     /// Threads for sparse candidate batches: 0 = auto, 1 = serial.
     int preprocessing_threads = 0;
     /// Kernel dispatch for the sparse refiner's batched scan. kAuto
@@ -91,13 +87,6 @@ class GreedySelector : public TaskSelector {
   const Options& options() const { return options_; }
 
  private:
-  /// Picks the refinement engine for one preprocessed round: true = sparse.
-  /// Fails when the requested mode cannot run the instance (dense with
-  /// n > 30, or a committed set beyond the sparse refiner's cell cap with
-  /// no dense fallback).
-  common::Result<bool> ResolvePreprocessingEngine(
-      const JointDistribution& joint, int k) const;
-
   Options options_;
 };
 

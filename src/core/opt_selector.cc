@@ -42,7 +42,10 @@ common::Result<Selection> OptSelector::Select(const SelectionRequest& request) {
                                           *request.crowd)
             : AnswerEntropyBits(*request.joint, task_buffer, *request.crowd);
     ++best.stats.evaluations;
-    if (h > best.entropy_bits) {
+    // Tie rule: a later subset must beat the best by more than
+    // kEntropyTieBits, so the first subset in enumeration order wins a
+    // near-tie.
+    if (h > best.entropy_bits + kEntropyTieBits) {
       best.entropy_bits = h;
       best.tasks = task_buffer;
     }

@@ -9,7 +9,8 @@ namespace crowdfusion::core {
 /// subset of the candidates and keep the one maximizing H(T). The problem
 /// is NP-hard (Theorem 1), so this is exponential in k — usable only for
 /// small instances; it anchors the Figure 2 comparison and the Table V
-/// runtime rows.
+/// runtime rows. Near-ties (within kEntropyTieBits) go to the first subset
+/// in enumeration order.
 class OptSelector : public TaskSelector {
  public:
   struct Options {

@@ -25,8 +25,6 @@ struct SelectorSpec {
   // --- greedy ---
   bool use_pruning = true;
   bool use_preprocessing = true;
-  /// "auto", "dense", or "sparse" (GreedySelector::PreprocessingMode).
-  std::string preprocessing_mode = "auto";
   /// Threads for sparse candidate batches: 0 = auto, 1 = serial.
   int preprocessing_threads = 0;
 
@@ -73,8 +71,7 @@ SelectorRegistry BuiltinSelectorRegistry();
 struct AdversarySpec {
   /// Master switch; false means "no adversary" (the differential path).
   bool enabled = false;
-  /// Virtual worker pool the roles partition. Providers that model real
-  /// worker pools (CrowdPlatform) override this with their pool size.
+  /// Virtual worker pool the roles partition.
   int num_workers = 16;
   /// Fraction of the pool colluding: correct on ordinary facts, but
   /// coordinated on the WRONG answer for the targeted facts, so fusers

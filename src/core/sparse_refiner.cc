@@ -188,7 +188,6 @@ void SparsePartitionRefiner::EvaluateTile(const int* facts, int width,
 
 void SparsePartitionRefiner::EvaluateTileSharded(const int* facts, int width,
                                                  int shards,
-                                                 common::ThreadPool& pool,
                                                  double* out) const {
   for (int c = 0; c < width; ++c) {
     CF_CHECK(facts[c] >= 0 && facts[c] < num_facts_)
@@ -204,19 +203,22 @@ void SparsePartitionRefiner::EvaluateTileSharded(const int* facts, int width,
   // shards write disjoint slices, so no synchronization and a
   // deterministic reduction order regardless of which worker ran what.
   entry_partials_.assign(static_cast<size_t>(shards) * tile_elems, 0.0);
-  pool.ParallelFor(
-      0, shards,
-      [this, facts, width, count, per_shard, tile_elems](int64_t shard_begin,
-                                                         int64_t shard_end) {
-        for (int64_t shard = shard_begin; shard < shard_end; ++shard) {
-          const size_t begin = static_cast<size_t>(shard) * per_shard;
-          const size_t end = std::min(begin + per_shard, count);
-          AccumulateTile(
-              facts, width, begin, end,
-              entry_partials_.data() + static_cast<size_t>(shard) * tile_elems);
-        }
-      },
-      shards);
+  const auto run_shards = [this, facts, width, count, per_shard, tile_elems](
+                              int64_t shard_begin, int64_t shard_end) {
+    for (int64_t shard = shard_begin; shard < shard_end; ++shard) {
+      const size_t begin = static_cast<size_t>(shard) * per_shard;
+      const size_t end = std::min(begin + per_shard, count);
+      AccumulateTile(
+          facts, width, begin, end,
+          entry_partials_.data() + static_cast<size_t>(shard) * tile_elems);
+    }
+  };
+  const int threads = ResolveThreads();
+  if (threads <= 1) {
+    run_shards(0, shards);  // One thread: the same shards, inline.
+  } else {
+    pool()->ParallelFor(0, shards, run_shards, threads);
+  }
   std::vector<double>& sums =
       common::ZeroedThreadScratch(common::ScratchSlot::kCellSums, cells);
   for (int c = 0; c < width; ++c) {
@@ -248,19 +250,18 @@ double SparsePartitionRefiner::EntropyWithCandidate(int fact) const {
   return EntropyFromCellSums(sums);
 }
 
-int SparsePartitionRefiner::ResolveThreads(size_t num_candidates) const {
-  if (options_.num_threads == 1 || num_candidates == 0) return 1;
-  const int64_t work =
-      static_cast<int64_t>(masks_.size()) *
-      static_cast<int64_t>(num_candidates);
-  if (work < options_.min_parallel_work) return 1;
-  common::ThreadPool* pool =
-      options_.pool == nullptr ? common::ThreadPool::Shared() : options_.pool;
-  const int available = pool->num_threads() + 1;  // workers + caller
+int SparsePartitionRefiner::ResolveThreads() const {
+  if (options_.num_threads == 1) return 1;
+  const int available = pool()->num_threads() + 1;  // workers + caller
   const int threads =
       options_.num_threads > 0 ? std::min(options_.num_threads, available)
                                : std::min(available, 8);
   return std::max(1, threads);
+}
+
+common::ThreadPool* SparsePartitionRefiner::pool() const {
+  return options_.pool == nullptr ? common::ThreadPool::Shared()
+                                  : options_.pool;
 }
 
 std::vector<double> SparsePartitionRefiner::EntropiesWithCandidates(
@@ -276,7 +277,27 @@ std::vector<double> SparsePartitionRefiner::EntropiesWithCandidates(
         kCandidateTileWidth,
         facts.size() - tile * kCandidateTileWidth));
   };
-  const int threads = ResolveThreads(facts.size());
+  const bool parallel_work =
+      static_cast<int64_t>(masks_.size()) *
+          static_cast<int64_t>(facts.size()) >=
+      options_.min_parallel_work;
+  if (parallel_work && facts.size() < kEntryShards) {
+    // Few candidates over a very large support (the tail of a pruned
+    // greedy round): shard the O(|O|) entry scan itself. This path, and
+    // its fixed kEntryShards-way reduction order, is chosen from the
+    // support size and candidate count alone; the thread count only
+    // decides whether the shards run on the pool or inline. So the
+    // entropies, and any near-tie greedy argmax they feed, are identical
+    // on every machine and for every num_threads.
+    static_assert(kEntryShards <= kCandidateTileWidth,
+                  "an entry-sharded batch must fit one tile");
+    const int entry_shards = static_cast<int>(
+        std::min<size_t>(kEntryShards, masks_.size()));
+    EvaluateTileSharded(facts.data(), static_cast<int>(facts.size()),
+                        entry_shards, out.data());
+    return out;
+  }
+  const int threads = parallel_work ? ResolveThreads() : 1;
   if (threads <= 1) {
     for (size_t t = 0; t < num_tiles; ++t) {
       EvaluateTile(facts.data() + t * kCandidateTileWidth, tile_width(t),
@@ -284,39 +305,21 @@ std::vector<double> SparsePartitionRefiner::EntropiesWithCandidates(
     }
     return out;
   }
-  common::ThreadPool* pool =
-      options_.pool == nullptr ? common::ThreadPool::Shared() : options_.pool;
-  if (facts.size() >= static_cast<size_t>(threads)) {
-    // Enough candidates to keep every shard busy: shard by tile. Tile
-    // boundaries are fixed by kCandidateTileWidth alone — never by the
-    // thread count — and evaluations only read the shared arrays, so
-    // shards are embarrassingly parallel and the output is identical to
-    // the serial loop above, bit for bit.
-    pool->ParallelFor(
-        0, static_cast<int64_t>(num_tiles),
-        [this, &facts, &out, &tile_width](int64_t begin, int64_t end) {
-          for (int64_t t = begin; t < end; ++t) {
-            const size_t b =
-                static_cast<size_t>(t) * kCandidateTileWidth;
-            EvaluateTile(facts.data() + b,
-                         tile_width(static_cast<size_t>(t)), out.data() + b);
-          }
-        },
-        threads);
-    return out;
-  }
-  // Few candidates over a very large support (the tail of a pruned greedy
-  // round): shard the O(|O|) entry scan itself. The shard count is a
-  // fixed constant — NOT the pool size — so the floating-point reduction
-  // order, and therefore the entropies and any near-tie greedy argmax
-  // they feed, are identical on every machine.
-  const int entry_shards = static_cast<int>(
-      std::min<size_t>(kEntryShards, masks_.size()));
-  for (size_t t = 0; t < num_tiles; ++t) {
-    EvaluateTileSharded(facts.data() + t * kCandidateTileWidth, tile_width(t),
-                        entry_shards, *pool,
-                        out.data() + t * kCandidateTileWidth);
-  }
+  // Enough candidates to keep every shard busy: shard by tile. Tile
+  // boundaries are fixed by kCandidateTileWidth alone — never by the
+  // thread count — and evaluations only read the shared arrays, so shards
+  // are embarrassingly parallel and the output is identical to the serial
+  // loop above, bit for bit.
+  pool()->ParallelFor(
+      0, static_cast<int64_t>(num_tiles),
+      [this, &facts, &out, &tile_width](int64_t begin, int64_t end) {
+        for (int64_t t = begin; t < end; ++t) {
+          const size_t b = static_cast<size_t>(t) * kCandidateTileWidth;
+          EvaluateTile(facts.data() + b, tile_width(static_cast<size_t>(t)),
+                       out.data() + b);
+        }
+      },
+      threads);
   return out;
 }
 

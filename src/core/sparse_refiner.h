@@ -14,18 +14,19 @@ namespace crowdfusion::core {
 
 /// Algorithm 2 (the greedy's preprocessing stage) evaluated directly on the
 /// sparse output support, without ever materializing the 2^n answer joint.
+/// It is the only engine behind GreedySelector's use_preprocessing.
 ///
-/// The dense `PartitionRefiner` partitions the full answer table; for
-/// n >> 20 facts that table does not fit anywhere. But the refined answer
-/// marginal of the committed set T is also the output-support marginal
-/// pushed through |T| binary symmetric channels, so the partition can be
-/// maintained over the |O| support entries instead: each entry carries the
-/// id of its refined cell (the truth pattern of the committed tasks, in
-/// commit order), a candidate evaluation is one O(|O|) scan that splits
-/// every cell by the candidate's judgment bit, and the crowd noise is
-/// applied to the resulting 2^(|T|+1) cell vector with the usual
-/// O(|T| 2^|T|) butterfly — negligible next to the scan for the k used in
-/// practice.
+/// The reference `PartitionRefiner` (answer_model.h) partitions the full
+/// answer table; for n >> 20 facts that table does not fit anywhere. But
+/// the refined answer marginal of the committed set T is also the
+/// output-support marginal pushed through |T| binary symmetric channels,
+/// so the partition can be maintained over the |O| support entries
+/// instead: each entry carries the id of its refined cell (the truth
+/// pattern of the committed tasks, in commit order), a candidate
+/// evaluation is one O(|O|) scan that splits every cell by the candidate's
+/// judgment bit, and the crowd noise is applied to the resulting
+/// 2^(|T|+1) cell vector with the usual O(|T| 2^|T|) butterfly —
+/// negligible next to the scan for the k used in practice.
 ///
 /// Layout is struct-of-arrays and the entries are kept counting-sorted by
 /// cell id after every commit ("sort by refined cell"), so the hot scan
@@ -47,9 +48,12 @@ namespace crowdfusion::core {
 ///
 /// Batch evaluation runs on a common::ThreadPool (reused workers, no
 /// per-batch thread spawn): large candidate batches shard by tile, while
-/// small batches over very large supports shard the O(|O|) entry scan
-/// itself (fixed kEntryShards boundaries, per-shard cell accumulators, one
-/// fixed-order reduction). The shared arrays are read-only during
+/// batches of fewer than kEntryShards candidates over very large supports
+/// shard the O(|O|) entry scan itself (fixed kEntryShards boundaries,
+/// per-shard cell accumulators, one fixed-order reduction). Which of the
+/// two sums a batch gets depends on the support size and candidate count
+/// only, never on the host or num_threads: one thread runs the entry
+/// shards inline. The shared arrays are read-only during
 /// evaluation so shards need no synchronization, and all kernel scratch is
 /// reused — per-thread for tile accumulators, refiner-owned and
 /// double-buffered for the entry shards and the commit sort — so the
@@ -65,7 +69,9 @@ class SparsePartitionRefiner {
     /// plus the calling thread, capped); 1 = always serial.
     int num_threads = 0;
     /// Minimum support-entries-times-candidates product before a batch
-    /// evaluation bothers going parallel.
+    /// evaluation bothers going parallel. Batches at or above it with
+    /// fewer than kEntryShards candidates take the entry-sharded sum
+    /// whatever the thread count.
     int64_t min_parallel_work = int64_t{1} << 16;
     /// Worker pool for parallel evaluation. Borrowed; must outlive the
     /// refiner. nullptr uses the process-wide ThreadPool::Shared().
@@ -79,10 +85,11 @@ class SparsePartitionRefiner {
   /// Largest committed-set size |T|; 2^(|T|+1) cells must stay cheap.
   static constexpr int kMaxCommittedTasks = 20;
 
-  /// Fixed shard count for entry-level sharding. A constant (not the pool
-  /// size) so the partial-sum reduction order — and with it every entropy
-  /// down to the last bit — is machine-independent; the pool merely
-  /// executes however many of these shards it can in parallel.
+  /// Fixed shard count for entry-level sharding, and the batch size below
+  /// which a large batch is entry-sharded. A constant (not the pool size)
+  /// so the partial-sum reduction order — and with it every entropy down
+  /// to the last bit — is machine-independent; the pool merely executes
+  /// however many of these shards it can in parallel.
   static constexpr size_t kEntryShards = 8;
 
   /// Fixed width of one candidate tile (and the interleave stride of the
@@ -109,9 +116,10 @@ class SparsePartitionRefiner {
   /// H(T ∪ {fact}) for every fact in `facts`, evaluated in batched tiles
   /// and sharded across the pool when the batch is large enough: by tile
   /// (bit-identical to mapping EntropyWithCandidate), or by support entry
-  /// when candidates are few but |O| is very large (same values up to the
-  /// fixed kEntryShards-way summation order — deterministic and
-  /// machine-independent, but not bit-identical to the serial scan).
+  /// when candidates are fewer than kEntryShards but |O| is very large
+  /// (same values up to the fixed kEntryShards-way summation order —
+  /// identical for every host and num_threads, but not bit-identical to
+  /// the serial scan).
   std::vector<double> EntropiesWithCandidates(std::span<const int> facts) const;
 
   /// Adds `fact` to the committed set: refines every cell by its judgment
@@ -153,17 +161,21 @@ class SparsePartitionRefiner {
   void EvaluateTile(const int* facts, int width, double* out) const;
 
   /// Entry-sharded EvaluateTile: splits the support scan into `shards`
-  /// fixed ranges on the pool and reduces the per-shard tile accumulators
-  /// in ascending shard order (the refiner-owned scratch holds the
-  /// partials). Deterministic for a fixed shard count.
+  /// fixed ranges, runs them on the pool (inline when ResolveThreads() is
+  /// 1) and reduces the per-shard tile accumulators in ascending shard
+  /// order (the refiner-owned scratch holds the partials). Deterministic
+  /// for a fixed shard count, whatever the thread count.
   void EvaluateTileSharded(const int* facts, int width, int shards,
-                           common::ThreadPool& pool, double* out) const;
+                           double* out) const;
 
   /// Crowd-noise butterfly + entropy over one candidate's cell sums,
   /// in place.
   double EntropyFromCellSums(std::vector<double>& sums) const;
 
-  int ResolveThreads(size_t num_candidates) const;
+  /// Shards a parallel batch may run at once: num_threads, capped by the
+  /// pool's workers plus the caller (auto: capped at 8).
+  int ResolveThreads() const;
+  common::ThreadPool* pool() const;
 
   int num_facts_ = 0;
   CrowdModel crowd_;

@@ -39,10 +39,15 @@ struct SelectionStats {
   /// Seconds of `elapsed_seconds` spent in preprocessing (answer joint
   /// construction), when enabled.
   double preprocessing_seconds = 0.0;
-  /// True if the round ran on the sparse-support partition refiner rather
-  /// than the dense 2^n answer table.
-  bool sparse_preprocessing = false;
 };
+
+/// The selection tie rule shared by the exact selectors: two candidates
+/// whose entropies differ by at most this many bits are tied. The greedy
+/// breaks a tie toward the lowest fact id, OPT toward the first subset in
+/// enumeration order. Summation order moves an entropy by a few ULPs
+/// (~1e-15 bits), so without the rule a near-tie could pick a different
+/// fact on a different engine or thread count.
+inline constexpr double kEntropyTieBits = 1e-12;
 
 /// Result of one selection round.
 struct Selection {

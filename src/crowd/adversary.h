@@ -31,10 +31,10 @@ enum class AdversaryRole {
 
 const char* AdversaryRoleName(AdversaryRole role);
 
-/// A seeded hostile-worker layer over the simulated crowds: SimulatedCrowd
-/// and CrowdPlatform delegate each judgment here when an adversary is
-/// configured (and run their historical code byte-for-byte when not — the
-/// adversary-off differential contract).
+/// A seeded hostile-worker layer over the simulated crowd: SimulatedCrowd
+/// delegates each judgment here when an adversary is configured (and runs
+/// its historical code byte-for-byte when not — the adversary-off
+/// differential contract).
 ///
 /// The model owns a virtual worker pool partitioned into roles by the
 /// spec's fractions (colluders first, then sybils, spammers, parrots;
@@ -62,17 +62,10 @@ class AdversaryModel {
       core::AdversarySpec spec);
 
   /// One judgment by a pool worker the model picks itself (uniformly, from
-  /// its own stream) — the SimulatedCrowd path, where the aggregate
-  /// "worker" has no identity.
+  /// its own stream): the aggregate crowd "worker" has no identity. The
+  /// log records which pool worker answered.
   bool Judge(int fact_id, bool truth, data::StatementCategory category,
              const WorkerBias& honest_bias);
-
-  /// One judgment by a caller-assigned worker — the CrowdPlatform path,
-  /// where the platform already sampled real worker indices. Precondition:
-  /// 0 <= worker < num_workers().
-  bool JudgeAs(int worker, int fact_id, bool truth,
-               data::StatementCategory category,
-               const WorkerBias& honest_bias);
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
   AdversaryRole role(int worker) const;
@@ -107,6 +100,11 @@ class AdversaryModel {
   };
 
   AdversaryModel(core::AdversarySpec spec, std::vector<WorkerState> workers);
+
+  /// One judgment by `worker` (0 <= worker < num_workers()) in its role.
+  bool JudgeAs(int worker, int fact_id, bool truth,
+               data::StatementCategory category,
+               const WorkerBias& honest_bias);
 
   /// Truth with probability `accuracy`, flipped otherwise — the honest
   /// Bernoulli error model, on the adversary's stream.

@@ -83,20 +83,15 @@ TEST(RunningExampleGoldenTest, OptAgreesWithGreedyOnTheExample) {
 }
 
 /// The accelerated configurations must reproduce the same worked example —
-/// including the new sparse refinement engine, which on this tiny dense
-/// instance is a pure representation change.
+/// including the sparse refinement engine behind preprocessing, which on
+/// this tiny dense instance is a pure representation change.
 TEST(RunningExampleGoldenTest, AllGreedyEnginesReproduceTheExample) {
   const JointDistribution joint = RunningExample::Joint();
   const CrowdModel crowd = RunningExample::Crowd();
 
-  std::vector<GreedySelector::Options> configurations(4);
+  std::vector<GreedySelector::Options> configurations(3);
   configurations[1].use_pruning = true;
   configurations[2].use_preprocessing = true;
-  configurations[2].preprocessing_mode =
-      GreedySelector::PreprocessingMode::kDense;
-  configurations[3].use_preprocessing = true;
-  configurations[3].preprocessing_mode =
-      GreedySelector::PreprocessingMode::kSparse;
 
   for (const auto& options : configurations) {
     GreedySelector greedy(options);

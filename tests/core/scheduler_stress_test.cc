@@ -48,7 +48,7 @@ TEST(BudgetSchedulerStressTest, MixedSizesUnderOneGlobalBudget) {
   auto crowd = CrowdModel::Create(1.0);  // perfect crowd: see file comment
   ASSERT_TRUE(crowd.ok());
   GreedySelector::Options options;
-  options.use_preprocessing = true;  // kAuto: dense small, sparse large
+  options.use_preprocessing = true;
   GreedySelector selector(options);
 
   BudgetScheduler::Options scheduler_options;

@@ -181,14 +181,12 @@ TEST(SimdDispatchTest, GreedySelectionIdenticalAcrossKernels) {
   }
   for (uint64_t seed = 1; seed <= 16; ++seed) {
     common::Rng rng(seed * 0xA24BAED4963EE407ULL + 5);
-    const int n = 24 + static_cast<int>(seed % 17);  // 24..40: sparse-only
+    const int n = 24 + static_cast<int>(seed % 17);  // 24..40
     const JointDistribution joint = RandomSparseJoint(n, 2000, rng);
     const CrowdModel crowd = MakeCrowd(0.8);
 
     GreedySelector::Options scalar_options;
     scalar_options.use_preprocessing = true;
-    scalar_options.preprocessing_mode =
-        GreedySelector::PreprocessingMode::kSparse;
     scalar_options.simd = common::SimdPolicy::kForceScalar;
     GreedySelector::Options avx2_options = scalar_options;
     avx2_options.simd = common::SimdPolicy::kForceAvx2;

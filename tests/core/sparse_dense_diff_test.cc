@@ -1,10 +1,11 @@
 /// Differential property tests pinning the sparse partition-refinement
-/// engine to the dense one (and both to the literal Equation 2 scan) on
-/// random seeded joints with n <= 20, where all three are feasible. If the
-/// sparse path ever drifts — marginals, H(T), per-candidate refinement
-/// gains, or the greedy's selected task set — one of these seeds catches
-/// it. A final section runs the sparse engine alone at n = 64 with a
-/// 10^5-output support, the scale the dense engine cannot represent, and
+/// engine to the dense reference refiner (and both to the literal
+/// Equation 2 scan) on random seeded joints with n <= 20, where all three
+/// are feasible. If the sparse path ever drifts — marginals, H(T),
+/// per-candidate refinement gains, or the greedy's selected task set
+/// against the Equation 2 greedy — one of these seeds catches it. A final
+/// section runs the sparse engine alone at n = 64 with a 10^5-output
+/// support, the scale the dense reference cannot represent, and
 /// cross-checks its entropies against the independent marginalize-and-push
 /// evaluator.
 
@@ -157,23 +158,18 @@ TEST(SparseDenseDiffTest, RefinementGainsAgreeAcrossEngines) {
   }
 }
 
+/// The greedy's one preprocessing engine against the literal Equation 2
+/// greedy: under the tie rule (kEntropyTieBits, lowest fact id) the two
+/// select the same tasks on every seed, though they sum in different
+/// orders.
 TEST(SparseDenseDiffTest, GreedySelectionAgreesAcrossEngines) {
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     const SeedInstance instance = MakeInstance(seed);
     const int k = std::min(3, instance.joint.num_facts());
 
-    GreedySelector::Options dense_options;
-    dense_options.use_preprocessing = true;
-    dense_options.preprocessing_mode =
-        GreedySelector::PreprocessingMode::kDense;
-    GreedySelector dense_greedy(dense_options);
-
     GreedySelector::Options sparse_options;
     sparse_options.use_preprocessing = true;
-    sparse_options.preprocessing_mode =
-        GreedySelector::PreprocessingMode::kSparse;
     GreedySelector sparse_greedy(sparse_options);
-
     GreedySelector brute_greedy;  // literal Equation 2, no preprocessing
 
     SelectionRequest request;
@@ -181,20 +177,14 @@ TEST(SparseDenseDiffTest, GreedySelectionAgreesAcrossEngines) {
     request.crowd = &instance.crowd;
     request.k = k;
 
-    auto dense_sel = dense_greedy.Select(request);
     auto sparse_sel = sparse_greedy.Select(request);
     auto brute_sel = brute_greedy.Select(request);
-    ASSERT_TRUE(dense_sel.ok()) << dense_sel.status().ToString();
     ASSERT_TRUE(sparse_sel.ok()) << sparse_sel.status().ToString();
     ASSERT_TRUE(brute_sel.ok()) << brute_sel.status().ToString();
 
-    EXPECT_FALSE(dense_sel->stats.sparse_preprocessing);
-    EXPECT_TRUE(sparse_sel->stats.sparse_preprocessing);
-    EXPECT_EQ(sparse_sel->tasks, dense_sel->tasks) << "seed=" << seed;
     EXPECT_EQ(sparse_sel->tasks, brute_sel->tasks) << "seed=" << seed;
-    EXPECT_NEAR(sparse_sel->entropy_bits, dense_sel->entropy_bits, kTol)
-        << "seed=" << seed;
-    EXPECT_NEAR(sparse_sel->entropy_bits, brute_sel->entropy_bits, kTol)
+    EXPECT_NEAR(sparse_sel->entropy_bits, brute_sel->entropy_bits,
+                kEntropyTieBits)
         << "seed=" << seed;
   }
 }
@@ -255,7 +245,7 @@ TEST(SparseDenseDiffTest, SparseGreedyHandlesSixtyFourFacts) {
   const CrowdModel crowd = MakeCrowd(0.8);
 
   GreedySelector::Options options;
-  options.use_preprocessing = true;  // kAuto must pick sparse: n > 30
+  options.use_preprocessing = true;
   GreedySelector greedy(options);
   SelectionRequest request;
   request.joint = &joint;
@@ -263,7 +253,6 @@ TEST(SparseDenseDiffTest, SparseGreedyHandlesSixtyFourFacts) {
   request.k = 6;
   auto selection = greedy.Select(request);
   ASSERT_TRUE(selection.ok()) << selection.status().ToString();
-  EXPECT_TRUE(selection->stats.sparse_preprocessing);
   ASSERT_EQ(selection->tasks.size(), 6u);
 
   std::set<int> distinct(selection->tasks.begin(), selection->tasks.end());

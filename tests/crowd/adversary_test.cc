@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "crowd/platform.h"
 #include "crowd/simulated_crowd.h"
 #include "crowd/worker.h"
 
@@ -101,13 +100,17 @@ TEST(AdversaryModelTest, ColludersFlipTargetsRegardlessOfOrder) {
   const auto model = MustCreate(spec);
   const WorkerBias bias = WorkerBias::Uniform(0.9);
   for (int fact = 0; fact < 32; ++fact) {
-    for (int worker = 0; worker < 4; ++worker) {
+    for (int ask = 0; ask < 8; ++ask) {
       const bool truth = (fact % 2) == 0;
-      EXPECT_EQ(model->JudgeAs(worker, fact, truth,
-                               data::StatementCategory::kClean, bias),
-                !truth)
-          << "fact " << fact << " worker " << worker;
+      EXPECT_EQ(
+          model->Judge(fact, truth, data::StatementCategory::kClean, bias),
+          !truth)
+          << "fact " << fact << " ask " << ask;
     }
+  }
+  // Whichever worker the model drew, every colluder flipped.
+  for (int worker = 0; worker < 4; ++worker) {
+    EXPECT_GT(model->answers_by(worker), 0) << "worker " << worker;
   }
 }
 
@@ -137,13 +140,12 @@ TEST(AdversaryModelTest, SybilsReplayOneMasterAnswerPerFact) {
   const auto model = MustCreate(spec);
   const WorkerBias bias = WorkerBias::Uniform(0.7);
   for (int fact = 0; fact < 64; ++fact) {
-    const bool first = model->JudgeAs(fact % 8, fact, true,
-                                      data::StatementCategory::kClean, bias);
-    for (int worker = 0; worker < 8; ++worker) {
-      EXPECT_EQ(model->JudgeAs(worker, fact, true,
-                               data::StatementCategory::kClean, bias),
+    const bool first =
+        model->Judge(fact, true, data::StatementCategory::kClean, bias);
+    for (int ask = 0; ask < 8; ++ask) {
+      EXPECT_EQ(model->Judge(fact, true, data::StatementCategory::kClean, bias),
                 first)
-          << "fact " << fact << " worker " << worker;
+          << "fact " << fact << " ask " << ask;
     }
   }
 }
@@ -160,9 +162,8 @@ TEST(AdversaryModelTest, MixedPoolLogShowsEachRolesAccuracy) {
   const WorkerBias bias = WorkerBias::Uniform(0.85);
   const int kTasks = 400;
   for (int t = 0; t < kTasks; ++t) {
-    for (int w = 0; w < spec.num_workers; ++w) {
-      (void)model->JudgeAs(w, t, t % 2 == 0, data::StatementCategory::kClean,
-                           bias);
+    for (int ask = 0; ask < spec.num_workers; ++ask) {
+      (void)model->Judge(t, t % 2 == 0, data::StatementCategory::kClean, bias);
     }
   }
   std::vector<int> correct(static_cast<size_t>(spec.num_workers), 0);
@@ -175,7 +176,11 @@ TEST(AdversaryModelTest, MixedPoolLogShowsEachRolesAccuracy) {
     const bool spammer = w < 3;
     ASSERT_EQ(model->role(w),
               spammer ? AdversaryRole::kSpammer : AdversaryRole::kHonest);
-    EXPECT_NEAR(static_cast<double>(correct[static_cast<size_t>(w)]) / kTasks,
+    // The model draws the worker; each gets about kTasks judgments.
+    const int64_t answered = model->answers_by(w);
+    ASSERT_GT(answered, kTasks / 2) << "worker " << w;
+    EXPECT_NEAR(static_cast<double>(correct[static_cast<size_t>(w)]) /
+                    static_cast<double>(answered),
                 spammer ? 0.5 : 0.85, 0.08)
         << "worker " << w;
   }
@@ -200,26 +205,39 @@ TEST(AdversaryModelTest, SpammersIgnoreTheTruth) {
 
 TEST(AdversaryModelTest, ParrotsEchoTheRunningMajority) {
   core::AdversarySpec spec = EnabledSpec();
-  spec.num_workers = 2;
-  spec.colluder_fraction = 0.5;  // worker 0 colludes, worker 1 parrots
+  spec.num_workers = 4;
+  spec.colluder_fraction = 0.75;  // workers 0-2 collude, worker 3 parrots
   spec.collusion_target_fraction = 1.0;
-  spec.parrot_fraction = 0.5;
+  spec.parrot_fraction = 0.25;
   const auto model = MustCreate(spec);
   ASSERT_EQ(model->role(0), AdversaryRole::kColluder);
-  ASSERT_EQ(model->role(1), AdversaryRole::kParrot);
+  ASSERT_EQ(model->role(3), AdversaryRole::kParrot);
   const WorkerBias bias = WorkerBias::Uniform(1.0);
 
-  // Empty history parrots "true".
-  EXPECT_TRUE(model->JudgeAs(1, 7, false, data::StatementCategory::kClean,
-                             bias));
-  // The colluder hammers "false" onto fact 3 (truth = true) three times;
-  // the parrot then echoes the false-majority.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_FALSE(model->JudgeAs(0, 3, true, data::StatementCategory::kClean,
-                                bias));
+  // A first judgment says "true" whoever gives it: an empty history
+  // parrots "true", and a colluder flips the false truth.
+  EXPECT_TRUE(model->Judge(7, false, data::StatementCategory::kClean, bias));
+
+  // The colluders hammer "false" onto fact 3 (truth = true). Replaying the
+  // log, every parrot answer is the majority of the answers before it
+  // (ties parrot "true"), so once the colluders lead it echoes "false".
+  for (int i = 0; i < 32; ++i) {
+    (void)model->Judge(3, true, data::StatementCategory::kClean, bias);
   }
-  EXPECT_FALSE(model->JudgeAs(1, 3, true, data::StatementCategory::kClean,
-                              bias));
+  int64_t votes_true = 0;
+  int64_t votes_false = 0;
+  int parrot_falses = 0;
+  for (const AdversaryModel::Judgment& entry : model->log()) {
+    if (entry.fact_id != 3) continue;
+    if (model->role(entry.worker) == AdversaryRole::kParrot) {
+      EXPECT_EQ(entry.answer, votes_true >= votes_false);
+      if (!entry.answer) ++parrot_falses;
+    } else {
+      EXPECT_FALSE(entry.answer);
+    }
+    (entry.answer ? votes_true : votes_false) += 1;
+  }
+  EXPECT_GT(parrot_falses, 0);
 }
 
 TEST(AdversaryModelTest, DriftDecaysHonestAccuracyToTheFloor) {
@@ -262,18 +280,27 @@ TEST(AdversaryModelTest, LogRecordsEveryJudgmentInOrder) {
   const auto model = MustCreate(spec);
   const WorkerBias bias = WorkerBias::Uniform(1.0);
   EXPECT_TRUE(model->log().empty());
-  (void)model->JudgeAs(2, 5, true, data::StatementCategory::kClean, bias);
-  (void)model->JudgeAs(0, 4, false, data::StatementCategory::kClean, bias);
+  const bool first =
+      model->Judge(5, true, data::StatementCategory::kClean, bias);
+  const bool second =
+      model->Judge(4, false, data::StatementCategory::kClean, bias);
   ASSERT_EQ(model->log().size(), 2u);
   EXPECT_EQ(model->log()[0].fact_id, 5);
-  EXPECT_EQ(model->log()[0].worker, 2);
   EXPECT_TRUE(model->log()[0].truth);
+  EXPECT_EQ(model->log()[0].answer, first);
   EXPECT_EQ(model->log()[1].fact_id, 4);
-  EXPECT_EQ(model->log()[1].worker, 0);
   EXPECT_FALSE(model->log()[1].truth);
-  EXPECT_EQ(model->answers_by(2), 1);
-  EXPECT_EQ(model->answers_by(0), 1);
-  EXPECT_EQ(model->answers_by(1), 0);
+  EXPECT_EQ(model->log()[1].answer, second);
+  // The logged workers are the ones whose answer counts moved.
+  std::vector<int64_t> logged(3, 0);
+  for (const AdversaryModel::Judgment& entry : model->log()) {
+    ASSERT_GE(entry.worker, 0);
+    ASSERT_LT(entry.worker, 3);
+    ++logged[static_cast<size_t>(entry.worker)];
+  }
+  for (int w = 0; w < 3; ++w) {
+    EXPECT_EQ(model->answers_by(w), logged[static_cast<size_t>(w)]) << w;
+  }
 }
 
 TEST(AdversaryModelTest, SameSeedSameStream) {
@@ -315,30 +342,6 @@ TEST(SimulatedCrowdAdversaryTest, FullCollusionFlipsEveryAnswer) {
   ASSERT_TRUE(answers.ok());
   EXPECT_EQ(*answers, (std::vector<bool>{false, true, false}));
   EXPECT_DOUBLE_EQ(crowd.EmpiricalAccuracy(), 0.0);
-}
-
-TEST(CrowdPlatformAdversaryTest, RolesAttachToTheRealPool) {
-  std::vector<Worker> workers;
-  for (int i = 0; i < 4; ++i) {
-    workers.emplace_back(std::to_string(i), WorkerBias::Uniform(1.0));
-  }
-  auto platform = CrowdPlatform::Create(std::move(workers),
-                                        {true, true, false}, {}, {});
-  ASSERT_TRUE(platform.ok());
-  core::AdversarySpec spec = EnabledSpec();
-  spec.num_workers = 999;  // overridden with the pool size
-  spec.colluder_fraction = 1.0;
-  spec.collusion_target_fraction = 1.0;
-  ASSERT_TRUE(platform->ConfigureAdversary(spec).ok());
-  ASSERT_NE(platform->adversary(), nullptr);
-  EXPECT_EQ(platform->adversary()->num_workers(), 4);
-
-  // Unanimous collusion defeats any redundancy/majority setting.
-  const std::vector<int> all = {0, 1, 2};
-  auto answers = platform->CollectAnswers(all);
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(*answers, (std::vector<bool>{false, false, true}));
-  EXPECT_DOUBLE_EQ(platform->AggregatedAccuracy(), 0.0);
 }
 
 }  // namespace

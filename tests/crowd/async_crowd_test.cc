@@ -5,7 +5,6 @@
 #include "common/clock.h"
 #include "core/async_provider.h"
 #include "crowd/latency_model.h"
-#include "crowd/platform.h"
 #include "crowd/simulated_crowd.h"
 
 namespace crowdfusion::crowd {
@@ -152,65 +151,6 @@ TEST(AsyncSimulatedCrowdTest, UnknownTicketIsNotFound) {
   SimulatedCrowd crowd = SimulatedCrowd::WithUniformAccuracy(kTruths, 0.8, 3);
   EXPECT_EQ(crowd.Poll(1234).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(crowd.Await(1234).status().code(), StatusCode::kNotFound);
-}
-
-TEST(AsyncCrowdPlatformTest, RedundantAsyncBatchesResolveWithAggregates) {
-  std::vector<Worker> workers;
-  for (int i = 0; i < 5; ++i) {
-    workers.emplace_back("w" + std::to_string(i), WorkerBias::Uniform(0.9));
-  }
-  CrowdPlatform::Options options;
-  options.redundancy = 3;
-  options.seed = 17;
-  auto platform = CrowdPlatform::Create(workers, kTruths, {}, options);
-  ASSERT_TRUE(platform.ok());
-  ManualClock clock;
-  LatencyOptions latency;
-  latency.median_seconds = 1.5;
-  latency.sigma = 0.0;
-  latency.seed = 23;
-  platform->ConfigureAsync(latency, &clock);
-
-  auto ticket = platform->Submit(std::vector<int>{0, 1, 2, 3});
-  ASSERT_TRUE(ticket.ok());
-  auto pending = platform->Poll(*ticket);
-  ASSERT_TRUE(pending.ok());
-  EXPECT_EQ(pending->phase, TicketPhase::kInFlight);
-  // Worker speed scales sit in [0.6, 1.6), so the slowest of the batch's
-  // assignments gates it somewhere in [0.9, 2.4).
-  EXPECT_GT(pending->seconds_until_ready, 0.0);
-  EXPECT_LT(pending->seconds_until_ready, 1.5 * 1.6 + 1e-9);
-
-  auto answers = platform->Await(*ticket);  // sleeps the manual clock
-  ASSERT_TRUE(answers.ok());
-  EXPECT_EQ(answers->size(), 4u);
-  EXPECT_EQ(platform->judgments_collected(), 4 * 3);
-  EXPECT_EQ(platform->task_log().size(), 4u);
-}
-
-TEST(AsyncCrowdPlatformTest, ZeroLatencyAsyncMatchesSyncAggregates) {
-  std::vector<Worker> workers;
-  for (int i = 0; i < 4; ++i) {
-    workers.emplace_back("w" + std::to_string(i), WorkerBias::Uniform(0.85));
-  }
-  CrowdPlatform::Options options;
-  options.redundancy = 3;
-  options.seed = 29;
-  auto sync_platform = CrowdPlatform::Create(workers, kTruths, {}, options);
-  auto async_platform = CrowdPlatform::Create(workers, kTruths, {}, options);
-  ASSERT_TRUE(sync_platform.ok());
-  ASSERT_TRUE(async_platform.ok());
-  ManualClock clock;
-  async_platform->ConfigureAsync(LatencyOptions{}, &clock);
-
-  const std::vector<int> batch = {0, 1, 2, 3, 4, 5};
-  auto sync_answers = sync_platform->CollectAnswers(batch);
-  ASSERT_TRUE(sync_answers.ok());
-  auto ticket = async_platform->Submit(batch);
-  ASSERT_TRUE(ticket.ok());
-  auto async_answers = async_platform->Await(*ticket);
-  ASSERT_TRUE(async_answers.ok());
-  EXPECT_EQ(*async_answers, *sync_answers);
 }
 
 TEST(LatencyModelTest, DisabledModelIsInstantAndNeverFails) {

@@ -136,6 +136,38 @@ TEST(FusionServiceTest, UnknownRegistryKeysSurfaceWithAlternatives) {
             std::string::npos);
 }
 
+/// The preprocessed greedy's committed set is dense in 2^k refiner cells,
+/// so it serves k <= SparsePartitionRefiner::kMaxCommittedTasks (20) and
+/// rejects a larger k by name rather than falling back to another engine.
+TEST(FusionServiceTest, PreprocessedGreedyRejectsKAboveTheRefinerCap) {
+  const int n = 24;
+  std::vector<core::JointDistribution::Entry> entries;
+  for (uint64_t world = 0; world < 64; ++world) {
+    entries.push_back({world * 0x9E3779B97F4A7C15ULL & ((1ULL << n) - 1),
+                       1.0 / 64});
+  }
+  auto joint = core::JointDistribution::FromEntries(n, std::move(entries));
+  ASSERT_TRUE(joint.ok()) << joint.status();
+  FusionRequest request = RunningExampleRequest();
+  request.instances[0].joint = *joint;
+  request.instances[0].truths.assign(n, true);
+  request.budget.budget_per_instance = 21;
+  request.budget.tasks_per_step = 21;
+  auto response = FusionService().Run(request);
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status().message().find("caps k at 20"),
+            std::string::npos)
+      << response.status();
+
+  // At the cap the same request runs.
+  request.budget.budget_per_instance = 20;
+  request.budget.tasks_per_step = 20;
+  auto at_cap = FusionService().Run(request);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+  EXPECT_EQ(at_cap->steps[0].tasks.size(), 20u);
+}
+
 TEST(FusionServiceTest, DatasetWorkloadRunsEndToEnd) {
   FusionService service;
   FusionRequest request;

@@ -74,10 +74,6 @@ TEST(SelectorRegistryTest, FactoryValidationSurfaces) {
   EXPECT_EQ(registry.Create("query_based", spec).status().code(),
             StatusCode::kInvalidArgument);
   spec = core::SelectorSpec{};
-  spec.preprocessing_mode = "hyperdense";
-  EXPECT_EQ(registry.Create("greedy", spec).status().code(),
-            StatusCode::kInvalidArgument);
-  spec = core::SelectorSpec{};
   spec.samples = 0;
   EXPECT_EQ(registry.Create("sampled", spec).status().code(),
             StatusCode::kInvalidArgument);

@@ -123,6 +123,13 @@ TEST(RequestJsonTest, MinimalDocumentGetsDefaults) {
   EXPECT_EQ(request->budget, defaults.budget);
   EXPECT_EQ(request->pipeline, defaults.pipeline);
   EXPECT_EQ(request->assumed_pc, defaults.assumed_pc);
+
+  // The selector object ignores keys it does not know, among them the
+  // retired "preprocessing_mode".
+  auto legacy = ParseFusionRequest(
+      R"({"mode": "engine", "selector": {"preprocessing_mode": "dense"}})");
+  ASSERT_TRUE(legacy.ok()) << legacy.status();
+  EXPECT_EQ(legacy->selector, defaults.selector);
 }
 
 TEST(RequestJsonTest, InfinityDeadlineSurvivesTheWire) {
