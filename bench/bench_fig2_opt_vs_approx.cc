@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -37,20 +38,18 @@ int main(int argc, char** argv) {
     base.true_accuracy = pc;
 
     std::vector<eval::ExperimentResult> series;
-    for (const eval::SelectorKind kind :
-         {eval::SelectorKind::kOpt, eval::SelectorKind::kGreedyPrunePre,
-          eval::SelectorKind::kRandom}) {
+    // Selector key -> the paper's legend.
+    for (const auto& [kind, legend] :
+         {std::pair{"opt", "OPT"}, std::pair{"greedy", "Approx."},
+          std::pair{"random", "Random"}}) {
       eval::ExperimentOptions options = base;
-      options.selector = kind;
+      options.selector.kind = kind;
       auto result = eval::RunExperiment(options);
       if (!result.ok()) {
         std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
         return 1;
       }
-      // Match the paper's legend.
-      result->label = kind == eval::SelectorKind::kOpt ? "OPT"
-                      : kind == eval::SelectorKind::kRandom ? "Random"
-                                                            : "Approx.";
+      result->label = legend;
       series.push_back(std::move(*result));
     }
     eval::PrintCurves(std::cout,

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -25,8 +26,9 @@ int main(int argc, char** argv) {
 
   for (const double pc : {0.7, 0.8, 0.9}) {
     std::vector<eval::ExperimentResult> series;
-    for (const eval::SelectorKind kind :
-         {eval::SelectorKind::kGreedyPrunePre, eval::SelectorKind::kRandom}) {
+    // Selector key -> the paper's legend.
+    for (const auto& [kind, legend] :
+         {std::pair{"greedy", "Approx."}, std::pair{"random", "Random"}}) {
       for (int k = 1; k <= 6; ++k) {
         eval::ExperimentOptions options;
         options.dataset.num_books = num_books;
@@ -36,15 +38,13 @@ int main(int argc, char** argv) {
         options.tasks_per_round = k;
         options.assumed_pc = pc;
         options.true_accuracy = pc;
-        options.selector = kind;
+        options.selector.kind = kind;
         auto result = eval::RunExperiment(options);
         if (!result.ok()) {
           std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
           return 1;
         }
-        result->label = common::StrFormat(
-            "%s k=%d",
-            kind == eval::SelectorKind::kRandom ? "Random" : "Approx.", k);
+        result->label = common::StrFormat("%s k=%d", legend, k);
         series.push_back(std::move(*result));
       }
     }

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -24,8 +25,9 @@ int main(int argc, char** argv) {
   std::filesystem::create_directories("bench_results");
 
   std::vector<eval::ExperimentResult> series;
-  for (const eval::SelectorKind kind :
-       {eval::SelectorKind::kGreedyPrunePre, eval::SelectorKind::kRandom}) {
+  // Selector key -> the paper's legend.
+  for (const auto& [kind, legend] :
+       {std::pair{"greedy", "Approx."}, std::pair{"random", "Random"}}) {
     for (const double pc : {0.7, 0.8, 0.9}) {
       eval::ExperimentOptions options;
       options.dataset.num_books = num_books;
@@ -35,15 +37,13 @@ int main(int argc, char** argv) {
       options.tasks_per_round = 1;
       options.assumed_pc = pc;
       options.true_accuracy = pc;
-      options.selector = kind;
+      options.selector.kind = kind;
       auto result = eval::RunExperiment(options);
       if (!result.ok()) {
         std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
         return 1;
       }
-      result->label = common::StrFormat(
-          "%s Pc=%.1f",
-          kind == eval::SelectorKind::kRandom ? "Random" : "Approx.", pc);
+      result->label = common::StrFormat("%s Pc=%.1f", legend, pc);
       series.push_back(std::move(*result));
     }
   }

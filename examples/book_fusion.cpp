@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", approx.status().ToString().c_str());
     return 1;
   }
-  options.selector = eval::SelectorKind::kRandom;
+  options.selector.kind = "random";
   auto random = eval::RunExperiment(options);
   if (!random.ok()) return 1;
 

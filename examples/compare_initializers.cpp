@@ -13,6 +13,7 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "eval/experiment.h"
+#include "fusion/registry.h"
 
 using namespace crowdfusion;
 
@@ -33,21 +34,24 @@ int main() {
   common::TablePrinter table(
       {"Initializer", "F1 before crowd", "F1 after crowd", "Utility before",
        "Utility after"});
-  for (eval::Initializer initializer :
-       {eval::Initializer::kCrh, eval::Initializer::kMajorityVote,
-        eval::Initializer::kTruthFinder, eval::Initializer::kAccu,
-        eval::Initializer::kSums, eval::Initializer::kAverageLog,
-        eval::Initializer::kInvestment}) {
+  const fusion::FuserRegistry fusers = fusion::BuiltinFuserRegistry();
+  for (const char* key : {"crh", "majority_vote", "truthfinder", "accu",
+                          "sums", "averagelog", "investment"}) {
     eval::ExperimentOptions options = base;
-    options.initializer = initializer;
+    options.fuser.kind = key;
+    // The row label is the fuser's own display name.
+    auto fuser = fusers.Create(key, options.fuser);
+    if (!fuser.ok()) {
+      std::fprintf(stderr, "%s\n", fuser.status().ToString().c_str());
+      return 1;
+    }
     auto result = eval::RunExperiment(options);
     if (!result.ok()) {
-      std::fprintf(stderr, "%s failed: %s\n",
-                   eval::InitializerName(initializer),
+      std::fprintf(stderr, "%s failed: %s\n", key,
                    result.status().ToString().c_str());
       return 1;
     }
-    table.AddRow({eval::InitializerName(initializer),
+    table.AddRow({(*fuser)->name(),
                   common::StrFormat("%.4f", result->initial_quality.f1),
                   common::StrFormat("%.4f", result->final_quality.f1),
                   common::StrFormat("%.2f", result->initial_utility_bits),

@@ -10,9 +10,11 @@ namespace crowdfusion::common {
 /// allocate on every call (the sparse refiner's batched kernel evaluates
 /// thousands of candidate tiles per greedy round; a heap round trip per
 /// tile dwarfs the scan it serves). Each (thread, slot) pair is one
-/// std::vector<double> that grows monotonically and is reused for the life
-/// of the thread — ThreadPool workers are long-lived, so after warm-up the
-/// request path allocates nothing here.
+/// std::vector<double> reused for the life of the thread — ThreadPool
+/// workers are long-lived, so after warm-up the request path allocates
+/// nothing here. Callers hand a buffer back through ReleaseOversizedScratch
+/// when they are done, so one outsized request does not pin its high-water
+/// mark on every thread that served it.
 ///
 /// Slots keep independent users from aliasing: a caller that needs two
 /// live buffers at once (tile accumulators plus the per-candidate cell
@@ -39,6 +41,17 @@ inline std::vector<double>& ZeroedThreadScratch(ScratchSlot slot,
   // buffer grows past its high-water mark.
   buffer.assign(size, 0.0);
   return buffer;
+}
+
+/// Scratch capacity a thread keeps between calls: 2^20 doubles (8 MiB).
+inline constexpr size_t kMaxRetainedScratchDoubles = size_t{1} << 20;
+
+/// Frees `buffer` (a ZeroedThreadScratch reference) when its capacity
+/// exceeds kMaxRetainedScratchDoubles; smaller buffers stay for reuse.
+inline void ReleaseOversizedScratch(std::vector<double>& buffer) {
+  if (buffer.capacity() > kMaxRetainedScratchDoubles) {
+    std::vector<double>().swap(buffer);
+  }
 }
 
 }  // namespace crowdfusion::common

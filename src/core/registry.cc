@@ -5,7 +5,6 @@
 #include "core/opt_selector.h"
 #include "core/query_based.h"
 #include "core/random_selector.h"
-#include "core/sampled_selector.h"
 #include "core/scripted_provider.h"
 
 namespace crowdfusion::core {
@@ -35,20 +34,6 @@ common::Result<std::unique_ptr<TaskSelector>> MakeOpt(
   options.max_subsets = static_cast<uint64_t>(spec.max_subsets);
   return std::unique_ptr<TaskSelector>(
       std::make_unique<OptSelector>(options));
-}
-
-common::Result<std::unique_ptr<TaskSelector>> MakeSampled(
-    const SelectorSpec& spec) {
-  SampledGreedySelector::Options options;
-  if (spec.samples <= 0) {
-    return Status::InvalidArgument("samples must be positive");
-  }
-  options.samples = spec.samples;
-  options.bias_correction = spec.bias_correction;
-  options.seed = spec.seed;
-  if (spec.min_gain_bits >= 0) options.min_gain_bits = spec.min_gain_bits;
-  return std::unique_ptr<TaskSelector>(
-      std::make_unique<SampledGreedySelector>(options));
 }
 
 common::Result<std::unique_ptr<TaskSelector>> MakeRandom(
@@ -93,7 +78,6 @@ SelectorRegistry BuiltinSelectorRegistry() {
   SelectorRegistry registry("selector");
   CF_CHECK_OK(registry.Register("greedy", MakeGreedy));
   CF_CHECK_OK(registry.Register("opt", MakeOpt));
-  CF_CHECK_OK(registry.Register("sampled", MakeSampled));
   CF_CHECK_OK(registry.Register("random", MakeRandom));
   CF_CHECK_OK(registry.Register("query_based", MakeQueryBased));
   return registry;

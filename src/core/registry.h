@@ -19,7 +19,7 @@ namespace crowdfusion::core {
 /// union of every builtin selector's knobs, as plain serializable values.
 /// Fields a selector does not consume are ignored by its factory.
 struct SelectorSpec {
-  /// Registry key: "greedy", "opt", "sampled", "random", "query_based".
+  /// Registry key: "greedy", "opt", "random", "query_based".
   std::string kind = "greedy";
 
   // --- greedy ---
@@ -33,19 +33,15 @@ struct SelectorSpec {
   /// Subset cap for OPT (0 = uncapped).
   int64_t max_subsets = 0;
 
-  // --- sampled ---
-  int samples = 4096;
-  bool bias_correction = true;
-
-  // --- sampled / random ---
+  // --- random ---
   uint64_t seed = 42;
 
   // --- query_based ---
   /// Facts of interest; required non-empty for "query_based".
   std::vector<int> foi;
 
-  /// Early-stop gain threshold; negative means "the selector's default"
-  /// (1e-12 for the exact greedies, 1e-6 for the sampled one).
+  /// Early-stop gain threshold for "greedy" and "query_based"; negative
+  /// means the selector's default (1e-12).
   double min_gain_bits = -1.0;
 
   friend bool operator==(const SelectorSpec& a,
@@ -57,8 +53,8 @@ using SelectorRegistry =
     common::FactoryRegistry<std::unique_ptr<TaskSelector>, SelectorSpec>;
 
 /// A fresh registry holding every selector defined in core: "greedy",
-/// "opt", "sampled", "random", "query_based". Copy and extend it to add
-/// custom selectors.
+/// "opt", "random", "query_based". Copy and extend it to add custom
+/// selectors.
 SelectorRegistry BuiltinSelectorRegistry();
 
 /// Config-shaped description of a hostile worker population layered over

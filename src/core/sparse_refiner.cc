@@ -184,6 +184,8 @@ void SparsePartitionRefiner::EvaluateTile(const int* facts, int width,
     }
     out[c] = EntropyFromCellSums(sums);
   }
+  common::ReleaseOversizedScratch(tile);
+  common::ReleaseOversizedScratch(sums);
 }
 
 void SparsePartitionRefiner::EvaluateTileSharded(const int* facts, int width,
@@ -234,6 +236,7 @@ void SparsePartitionRefiner::EvaluateTileSharded(const int* facts, int width,
     }
     out[c] = EntropyFromCellSums(sums);
   }
+  common::ReleaseOversizedScratch(sums);
 }
 
 double SparsePartitionRefiner::EntropyFromCellSums(

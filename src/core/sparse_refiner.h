@@ -57,7 +57,10 @@ namespace crowdfusion::core {
 /// evaluation so shards need no synchronization, and all kernel scratch is
 /// reused — per-thread for tile accumulators, refiner-owned and
 /// double-buffered for the entry shards and the commit sort — so the
-/// request path stops allocating after warm-up.
+/// request path stops allocating after warm-up. The exception is a
+/// per-thread tile or cell buffer past common::kMaxRetainedScratchDoubles
+/// (only committed sets near kMaxCommittedTasks reach it): it is freed at
+/// the end of its tile, so one such selection does not stay resident.
 ///
 /// Supports the full n <= JointDistribution::kMaxFacts = 64 fact range.
 /// The committed set is capped at kMaxCommittedTasks because the noisy

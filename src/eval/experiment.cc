@@ -2,140 +2,34 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "common/string_util.h"
-#include "core/registry.h"
 #include "service/fusion_service.h"
 
 namespace crowdfusion::eval {
 
 using common::Status;
 
-const char* InitializerName(Initializer initializer) {
-  switch (initializer) {
-    case Initializer::kCrh:
-      return "CRH";
-    case Initializer::kMajorityVote:
-      return "MajorityVote";
-    case Initializer::kTruthFinder:
-      return "TruthFinder";
-    case Initializer::kAccu:
-      return "Accu";
-    case Initializer::kSums:
-      return "Sums";
-    case Initializer::kAverageLog:
-      return "AverageLog";
-    case Initializer::kInvestment:
-      return "Investment";
-  }
-  return "Unknown";
-}
-
-const char* SelectorKindName(SelectorKind kind) {
-  switch (kind) {
-    case SelectorKind::kGreedy:
-      return "Approx.";
-    case SelectorKind::kGreedyPrune:
-      return "Approx.&Prune";
-    case SelectorKind::kGreedyPre:
-      return "Approx.&Pre.";
-    case SelectorKind::kGreedyPrunePre:
-      return "Approx.&Prune&Pre.";
-    case SelectorKind::kOpt:
-      return "OPT";
-    case SelectorKind::kRandom:
-      return "Random";
-  }
-  return "Unknown";
-}
-
 namespace {
-
-/// The fuser-registry key of an Initializer (the config spelling).
-const char* InitializerKey(Initializer initializer) {
-  switch (initializer) {
-    case Initializer::kCrh:
-      return "crh";
-    case Initializer::kMajorityVote:
-      return "majority_vote";
-    case Initializer::kTruthFinder:
-      return "truthfinder";
-    case Initializer::kAccu:
-      return "accu";
-    case Initializer::kSums:
-      return "sums";
-    case Initializer::kAverageLog:
-      return "averagelog";
-    case Initializer::kInvestment:
-      return "investment";
-  }
-  return "unknown";
-}
-
-/// The selector-registry spec of a SelectorKind.
-core::SelectorSpec SelectorSpecFor(SelectorKind kind, uint64_t seed) {
-  core::SelectorSpec spec;
-  spec.seed = seed;
-  switch (kind) {
-    case SelectorKind::kGreedy:
-      spec.kind = "greedy";
-      spec.use_pruning = false;
-      spec.use_preprocessing = false;
-      break;
-    case SelectorKind::kGreedyPrune:
-      spec.kind = "greedy";
-      spec.use_pruning = true;
-      spec.use_preprocessing = false;
-      break;
-    case SelectorKind::kGreedyPre:
-      spec.kind = "greedy";
-      spec.use_pruning = false;
-      spec.use_preprocessing = true;
-      break;
-    case SelectorKind::kGreedyPrunePre:
-      spec.kind = "greedy";
-      spec.use_pruning = true;
-      spec.use_preprocessing = true;
-      break;
-    case SelectorKind::kOpt:
-      // The fast entropy path (quality comparisons); the Table V harness
-      // constructs its paper-faithful brute-force variants directly.
-      spec.kind = "opt";
-      break;
-    case SelectorKind::kRandom:
-      spec.kind = "random";
-      break;
-  }
-  return spec;
-}
 
 /// Translates ExperimentOptions into the one typed request the service
 /// facade consumes — the experiment harness is a thin client now.
-service::FusionRequest BuildRequest(const ExperimentOptions& options,
-                                    service::RunMode mode) {
+service::FusionRequest BuildRequest(const ExperimentOptions& options) {
   service::FusionRequest request;
-  request.mode = mode;
+  request.mode = service::RunMode::kEngine;
   service::DatasetSpec dataset;
   dataset.generate = options.dataset;
   dataset.correlation = options.correlation;
-  dataset.fuser.kind = InitializerKey(options.initializer);
+  dataset.fuser = options.fuser;
   dataset.max_facts_per_book = options.max_facts_per_book;
   request.dataset = std::move(dataset);
-  request.selector = SelectorSpecFor(options.selector, options.selector_seed);
+  request.selector = options.selector;
   request.provider.kind = "simulated_crowd";
   request.provider.accuracy = options.true_accuracy;
   request.provider.biased = options.biased_crowd;
   request.provider.seed = options.crowd_seed;
-  request.provider.latency_median_seconds =
-      mode == service::RunMode::kPipelined
-          ? options.crowd_median_latency_seconds
-          : 0.0;
-  // The pipelined experiments' historical latency-stream lineage.
-  request.provider.latency_seed = options.crowd_seed ^ 0x1A7E9C1ULL;
   request.assumed_pc = options.assumed_pc;
   request.budget.budget_per_instance = options.budget_per_book;
   request.budget.tasks_per_step = options.tasks_per_round;
-  request.pipeline.max_in_flight = options.max_in_flight;
   return request;
 }
 
@@ -182,27 +76,16 @@ void FillWorkloadStats(const service::Session& session,
 
 }  // namespace
 
-std::unique_ptr<core::TaskSelector> MakeSelector(SelectorKind kind,
-                                                 uint64_t seed) {
-  static const core::SelectorRegistry registry =
-      core::BuiltinSelectorRegistry();
-  const core::SelectorSpec spec = SelectorSpecFor(kind, seed);
-  auto selector = registry.Create(spec.kind, spec);
-  CF_CHECK(selector.ok()) << selector.status();
-  return std::move(selector).value();
-}
-
 common::Result<ExperimentResult> RunExperiment(
     const ExperimentOptions& options) {
   CF_RETURN_IF_ERROR(ValidateOptions(options));
   service::FusionService service;
-  CF_ASSIGN_OR_RETURN(
-      const std::unique_ptr<service::Session> session,
-      service.CreateSession(BuildRequest(options, service::RunMode::kEngine)));
+  CF_ASSIGN_OR_RETURN(const std::unique_ptr<service::Session> session,
+                      service.CreateSession(BuildRequest(options)));
 
   ExperimentResult result;
   result.label = common::StrFormat(
-      "%s k=%d Pc=%.2f", SelectorKindName(options.selector),
+      "%s k=%d Pc=%.2f", session->selector_name().c_str(),
       options.tasks_per_round, options.assumed_pc);
 
   const CurvePoint initial = ScoreSession(*session, 0);
@@ -225,53 +108,6 @@ common::Result<ExperimentResult> RunExperiment(
                           final_point.f1};
   result.final_utility_bits = final_point.utility_bits;
   result.selection_seconds = session->selection_seconds();
-  FillWorkloadStats(*session, result);
-  return result;
-}
-
-common::Result<PrecisionRecallF1> ScoreInitializer(
-    const ExperimentOptions& options) {
-  service::FusionService service;
-  service::FusionRequest request =
-      BuildRequest(options, service::RunMode::kEngine);
-  request.budget.budget_per_instance = 0;  // the zero-cost baseline
-  CF_ASSIGN_OR_RETURN(const std::unique_ptr<service::Session> session,
-                      service.CreateSession(std::move(request)));
-  const CurvePoint point = ScoreSession(*session, 0);
-  return PrecisionRecallF1{point.precision, point.recall, point.f1};
-}
-
-common::Result<ExperimentResult> RunPipelinedExperiment(
-    const ExperimentOptions& options) {
-  CF_RETURN_IF_ERROR(ValidateOptions(options));
-  service::FusionService service;
-  CF_ASSIGN_OR_RETURN(const std::unique_ptr<service::Session> session,
-                      service.CreateSession(BuildRequest(
-                          options, service::RunMode::kPipelined)));
-
-  ExperimentResult result;
-  result.label = common::StrFormat(
-      "%s pipelined m=%d k=%d Pc=%.2f", SelectorKindName(options.selector),
-      options.max_in_flight, options.tasks_per_round, options.assumed_pc);
-
-  const CurvePoint initial = ScoreSession(*session, 0);
-  result.curve.push_back(initial);
-  result.initial_quality = {initial.precision, initial.recall, initial.f1};
-  result.initial_utility_bits = initial.utility_bits;
-
-  while (!session->done()) {
-    CF_RETURN_IF_ERROR(session->Step().status());
-  }
-
-  const CurvePoint final_point =
-      ScoreSession(*session, session->total_cost_spent());
-  result.curve.push_back(final_point);
-  result.final_quality = {final_point.precision, final_point.recall,
-                          final_point.f1};
-  result.final_utility_bits = final_point.utility_bits;
-  // The pipelined trajectory has no per-selection timing; report the
-  // serving wall-clock, as the pre-facade harness did.
-  result.selection_seconds = session->wall_seconds();
   FillWorkloadStats(*session, result);
   return result;
 }

@@ -1,55 +1,32 @@
 #ifndef CROWDFUSION_EVAL_EXPERIMENT_H_
 #define CROWDFUSION_EVAL_EXPERIMENT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "core/task_selector.h"
+#include "core/registry.h"
 #include "data/book_dataset.h"
 #include "data/correlation_model.h"
 #include "eval/metrics.h"
+#include "fusion/registry.h"
 
 namespace crowdfusion::eval {
-
-/// Which machine-only fusion method initializes the joint distributions.
-enum class Initializer {
-  kCrh,
-  kMajorityVote,
-  kTruthFinder,
-  kAccu,
-  kSums,
-  kAverageLog,
-  kInvestment,
-};
-
-/// Which task selector drives the rounds.
-enum class SelectorKind {
-  kGreedy,
-  kGreedyPrune,
-  kGreedyPre,
-  kGreedyPrunePre,
-  kOpt,
-  kRandom,
-};
-
-const char* InitializerName(Initializer initializer);
-const char* SelectorKindName(SelectorKind kind);
-
-/// Instantiates a selector. OPT gets the fast entropy path here (quality
-/// comparisons); the Table V harness constructs its own paper-faithful
-/// variants directly.
-std::unique_ptr<core::TaskSelector> MakeSelector(SelectorKind kind,
-                                                 uint64_t seed);
 
 /// Configuration of one end-to-end run over a Book dataset, mirroring
 /// Section V-A: per-book budget B, k tasks per round, crowd accuracy Pc.
 struct ExperimentOptions {
   data::BookDatasetOptions dataset;
   data::CorrelationModelOptions correlation;
-  Initializer initializer = Initializer::kCrh;
-  SelectorKind selector = SelectorKind::kGreedyPrunePre;
+  /// The machine-only fusion method that initializes the joints.
+  fusion::FuserSpec fuser;
+  /// The task selector that drives the rounds (Approx.&Prune&Pre. by
+  /// default). Seed 77 keeps the random baseline's historical stream.
+  core::SelectorSpec selector = [] {
+    core::SelectorSpec spec;
+    spec.seed = 77;
+    return spec;
+  }();
   /// B: total tasks per book.
   int budget_per_book = 60;
   /// k: tasks per round.
@@ -62,16 +39,9 @@ struct ExperimentOptions {
   /// base accuracy is still `true_accuracy`.
   bool biased_crowd = false;
   uint64_t crowd_seed = 1234;
-  uint64_t selector_seed = 77;
   /// Books with more statements than this are truncated to their first
   /// max_facts_per_book statements (dense joint guard).
   int max_facts_per_book = 16;
-  /// RunPipelinedExperiment only: outstanding ticket batches the serving
-  /// scheduler keeps in flight.
-  int max_in_flight = 4;
-  /// RunPipelinedExperiment only: median simulated crowd latency, seconds
-  /// (0 = instant answers; the differential setting).
-  double crowd_median_latency_seconds = 0.0;
 };
 
 /// One point of a quality-vs-cost curve (the Figures 2-4 series):
@@ -85,6 +55,7 @@ struct CurvePoint {
 };
 
 struct ExperimentResult {
+  /// "<selector name()> k=<k> Pc=<Pc>".
   std::string label;
   std::vector<CurvePoint> curve;  // curve[0] is the initial state (cost 0)
   PrecisionRecallF1 initial_quality;
@@ -104,21 +75,6 @@ struct ExperimentResult {
 /// all books one round at a time so the curve's x-axis is the global task
 /// count (as in the paper's figures).
 common::Result<ExperimentResult> RunExperiment(
-    const ExperimentOptions& options);
-
-/// Runs the machine-only initializer alone and scores it; the zero-cost
-/// baseline of every figure.
-common::Result<PrecisionRecallF1> ScoreInitializer(
-    const ExperimentOptions& options);
-
-/// The serving-engine variant of RunExperiment: every generated book is
-/// registered with ONE pipelined core::BudgetScheduler holding the global
-/// budget budget_per_book × books (the Section V-D allocation strategy),
-/// with up to `max_in_flight` crowd ticket batches outstanding and
-/// simulated answer latency of `crowd_median_latency_seconds`. The curve
-/// holds the initial and final points; the per-step trajectory is the
-/// scheduler's record stream.
-common::Result<ExperimentResult> RunPipelinedExperiment(
     const ExperimentOptions& options);
 
 }  // namespace crowdfusion::eval

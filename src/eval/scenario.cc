@@ -16,8 +16,7 @@ using common::Status;
 
 namespace {
 
-/// The 7 machine-only fusers, in golden order (the Initializer order of
-/// eval/experiment.h).
+/// The 7 machine-only fusers, in golden order.
 constexpr const char* kFusers[] = {
     "crh",  "majority_vote", "truthfinder", "accu",
     "sums", "averagelog",    "investment",

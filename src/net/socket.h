@@ -36,12 +36,6 @@ class Socket {
   /// to drain between chunks.
   common::Status WriteAll(std::string_view data, double timeout_seconds);
 
-  /// Half-closes both directions, unblocking any thread inside Read.
-  /// Safe to call from another thread while Read is in flight (the fd
-  /// itself stays open until Close, so the fd cannot be reused under the
-  /// reader).
-  void ShutdownBoth();
-
   /// Half-closes the write side only (sends FIN; reads stay open) — the
   /// client half of the reactor's half-close tests.
   void ShutdownWrite();
@@ -83,10 +77,6 @@ class Listener {
   int fd() const { return fd_; }
   /// The bound port (resolves port 0 to the kernel's pick).
   int port() const { return port_; }
-
-  /// Waits up to `timeout_seconds` for a connection. DeadlineExceeded on
-  /// timeout; Unavailable once the listener is closed.
-  common::Result<Socket> Accept(double timeout_seconds);
 
   void Close();
 

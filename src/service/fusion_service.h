@@ -274,6 +274,8 @@ class Session {
   // --- introspection for thin clients (eval scoring, CLI save-back) ---
   /// Request label (or the derived default) echoed into the response.
   const std::string& label() const { return label_; }
+  /// The selector's display name (TaskSelector::name()).
+  std::string selector_name() const { return selector_->name(); }
   int num_instances() const { return static_cast<int>(instances_.size()); }
   const std::string& instance_name(int instance) const;
   /// Current (not final) joint of one instance.

@@ -91,8 +91,6 @@ JsonValue SelectorSpecToJson(const core::SelectorSpec& spec) {
   json.Set("preprocessing_threads", spec.preprocessing_threads);
   json.Set("brute_force_entropy", spec.brute_force_entropy);
   json.Set("max_subsets", spec.max_subsets);
-  json.Set("samples", spec.samples);
-  json.Set("bias_correction", spec.bias_correction);
   json.Set("seed", JsonU64(spec.seed));
   json.Set("foi", JsonFromIntVec(spec.foi));
   json.Set("min_gain_bits", spec.min_gain_bits);
@@ -112,9 +110,6 @@ common::Result<core::SelectorSpec> SelectorSpecFromJson(
   CF_RETURN_IF_ERROR(
       JsonReadBool(json, "brute_force_entropy", &spec.brute_force_entropy));
   CF_RETURN_IF_ERROR(JsonReadInt64(json, "max_subsets", &spec.max_subsets));
-  CF_RETURN_IF_ERROR(JsonReadInt(json, "samples", &spec.samples));
-  CF_RETURN_IF_ERROR(
-      JsonReadBool(json, "bias_correction", &spec.bias_correction));
   CF_RETURN_IF_ERROR(JsonReadU64(json, "seed", &spec.seed));
   CF_RETURN_IF_ERROR(JsonReadIntVec(json, "foi", &spec.foi));
   CF_RETURN_IF_ERROR(

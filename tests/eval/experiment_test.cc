@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 namespace crowdfusion::eval {
@@ -55,7 +56,7 @@ TEST(ExperimentTest, GreedyBeatsRandom) {
   auto greedy = RunExperiment(greedy_options);
   ASSERT_TRUE(greedy.ok());
   ExperimentOptions random_options = greedy_options;
-  random_options.selector = SelectorKind::kRandom;
+  random_options.selector.kind = "random";
   auto random = RunExperiment(random_options);
   ASSERT_TRUE(random.ok());
   // At equal (small) budget, greedy utility should dominate.
@@ -77,9 +78,9 @@ TEST(ExperimentTest, GreedyBeatsRandomAcrossCrowdSeeds) {
   std::vector<double> greedy_runs;
   for (uint64_t r = 0; r < 5; ++r) {
     options.crowd_seed = base_seed + r;
-    options.selector = SelectorKind::kGreedyPrunePre;
+    options.selector.kind = "greedy";
     auto greedy = RunExperiment(options);
-    options.selector = SelectorKind::kRandom;
+    options.selector.kind = "random";
     auto random = RunExperiment(options);
     ASSERT_TRUE(greedy.ok()) << greedy.status();
     ASSERT_TRUE(random.ok()) << random.status();
@@ -94,41 +95,41 @@ TEST(ExperimentTest, GreedyBeatsRandomAcrossCrowdSeeds) {
 }
 
 TEST(ExperimentTest, AllSelectorsRunEndToEnd) {
-  for (SelectorKind kind :
-       {SelectorKind::kGreedy, SelectorKind::kGreedyPrune,
-        SelectorKind::kGreedyPre, SelectorKind::kGreedyPrunePre,
-        SelectorKind::kRandom}) {
+  // The four greedy variants and the random baseline; the label is the
+  // selector's own name().
+  const struct {
+    const char* kind;
+    bool pruning;
+    bool preprocessing;
+    const char* name;
+  } kSelectors[] = {
+      {"greedy", false, false, "Approx."},
+      {"greedy", true, false, "Approx.&Prune"},
+      {"greedy", false, true, "Approx.&Pre."},
+      {"greedy", true, true, "Approx.&Prune&Pre."},
+      {"random", false, false, "Random"},
+  };
+  for (const auto& selector : kSelectors) {
     ExperimentOptions options = SmallOptions();
     options.budget_per_book = 4;
-    options.selector = kind;
+    options.selector.kind = selector.kind;
+    options.selector.use_pruning = selector.pruning;
+    options.selector.use_preprocessing = selector.preprocessing;
     auto result = RunExperiment(options);
-    ASSERT_TRUE(result.ok()) << SelectorKindName(kind) << ": "
-                             << result.status();
+    ASSERT_TRUE(result.ok()) << selector.name << ": " << result.status();
     EXPECT_GT(result->books_evaluated, 0);
+    EXPECT_EQ(result->label, std::string(selector.name) + " k=2 Pc=0.80");
   }
 }
 
 TEST(ExperimentTest, AllInitializersRunEndToEnd) {
-  for (Initializer initializer :
-       {Initializer::kCrh, Initializer::kMajorityVote,
-        Initializer::kTruthFinder, Initializer::kAccu, Initializer::kSums,
-        Initializer::kAverageLog, Initializer::kInvestment}) {
+  for (const std::string& key : fusion::BuiltinFuserRegistry().Keys()) {
     ExperimentOptions options = SmallOptions();
     options.budget_per_book = 4;
-    options.initializer = initializer;
+    options.fuser.kind = key;
     auto result = RunExperiment(options);
-    ASSERT_TRUE(result.ok()) << InitializerName(initializer) << ": "
-                             << result.status();
+    ASSERT_TRUE(result.ok()) << key << ": " << result.status();
   }
-}
-
-TEST(ExperimentTest, ScoreInitializerMatchesCurveStart) {
-  const ExperimentOptions options = SmallOptions();
-  auto scored = ScoreInitializer(options);
-  auto run = RunExperiment(options);
-  ASSERT_TRUE(scored.ok());
-  ASSERT_TRUE(run.ok());
-  EXPECT_NEAR(scored->f1, run->initial_quality.f1, 1e-12);
 }
 
 TEST(ExperimentTest, ZeroBudgetLeavesInitializerUntouched) {
@@ -151,32 +152,6 @@ TEST(ExperimentTest, BiasedCrowdLowersEffectiveAccuracy) {
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result->crowd_empirical_accuracy,
             plain->crowd_empirical_accuracy);
-}
-
-TEST(PipelinedExperimentTest, GlobalBudgetServeImprovesOnTheInitializer) {
-  ExperimentOptions options = SmallOptions();
-  options.max_in_flight = 4;
-  auto result = RunPipelinedExperiment(options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  ASSERT_EQ(result->curve.size(), 2u);
-  EXPECT_EQ(result->curve.front().cost, 0);
-  EXPECT_LE(result->curve.back().cost,
-            options.budget_per_book * result->books_evaluated);
-  EXPECT_GE(result->final_quality.f1, result->initial_quality.f1);
-  EXPECT_GT(result->final_utility_bits, result->initial_utility_bits);
-  EXPECT_GT(result->crowd_empirical_accuracy, 0.0);
-}
-
-TEST(PipelinedExperimentTest, SpendsTheGlobalBudgetAcrossBooks) {
-  // Global allocation is allowed to spend a given book's "share" elsewhere;
-  // the pin is only that the pool itself is respected and mostly used.
-  ExperimentOptions options = SmallOptions();
-  options.budget_per_book = 4;
-  auto result = RunPipelinedExperiment(options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  const int global_budget = 4 * result->books_evaluated;
-  EXPECT_LE(result->curve.back().cost, global_budget);
-  EXPECT_GT(result->curve.back().cost, 0);
 }
 
 TEST(ExperimentTest, HigherPcGivesHigherUtility) {

@@ -132,7 +132,7 @@ TEST(IntegrationTest, FullExperimentReproducesPaperShape) {
   options.tasks_per_round = 1;
   auto approx = RunExperiment(options);
   ASSERT_TRUE(approx.ok());
-  options.selector = eval::SelectorKind::kRandom;
+  options.selector.kind = "random";
   auto random = RunExperiment(options);
   ASSERT_TRUE(random.ok());
   // F1 at a small budget is noisy; utility (the optimization target) must

@@ -4,7 +4,10 @@
 /// through the typed API.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <fstream>
 #include <memory>
 
 #include "core/running_example.h"
@@ -15,6 +18,29 @@ namespace crowdfusion::service {
 namespace {
 
 using common::StatusCode;
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CF_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CF_SANITIZED_BUILD 1
+#endif
+#endif
+
+/// This process's resident set in bytes, from /proc/self/statm; -1 where
+/// that file is unavailable or the figure is meaningless: sanitizer
+/// allocators keep freed memory resident (ASan's quarantine) or shadow it.
+int64_t ResidentBytes() {
+#ifdef CF_SANITIZED_BUILD
+  return -1;
+#else
+  std::ifstream statm("/proc/self/statm");
+  int64_t size_pages = 0;
+  int64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return -1;
+  return resident_pages * static_cast<int64_t>(::sysconf(_SC_PAGESIZE));
+#endif
+}
 
 /// The steps with their wall-clock latency_seconds zeroed: the one field
 /// that differs run to run.
@@ -160,12 +186,19 @@ TEST(FusionServiceTest, PreprocessedGreedyRejectsKAboveTheRefinerCap) {
             std::string::npos)
       << response.status();
 
-  // At the cap the same request runs.
+  // At the cap the same request runs, and the refiner's 2^20-cell
+  // scratch does not stay resident on the threads that served it.
   request.budget.budget_per_instance = 20;
   request.budget.tasks_per_step = 20;
+  const int64_t resident_before = ResidentBytes();
   auto at_cap = FusionService().Run(request);
+  const int64_t resident_after = ResidentBytes();
   ASSERT_TRUE(at_cap.ok()) << at_cap.status();
   EXPECT_EQ(at_cap->steps[0].tasks.size(), 20u);
+  if (resident_before >= 0 && resident_after >= 0) {
+    EXPECT_LE(resident_after - resident_before, int64_t{32} << 20)
+        << "resident " << resident_before << " -> " << resident_after;
+  }
 }
 
 TEST(FusionServiceTest, DatasetWorkloadRunsEndToEnd) {
@@ -192,6 +225,11 @@ TEST(FusionServiceTest, DatasetWorkloadRunsEndToEnd) {
   EXPECT_NEAR(static_cast<double>(response->stats.answers_correct) /
                   static_cast<double>(response->stats.answers_served),
               0.8, 0.15);
+  // Spending the global budget lifts total utility above the machine-only
+  // initial joints (an unstepped session of the same request).
+  auto initial = service.CreateSession(request);
+  ASSERT_TRUE(initial.ok()) << initial.status();
+  EXPECT_GT(response->total_utility_bits, (*initial)->total_utility_bits());
 }
 
 TEST(FusionServiceTest, DatasetUnknownFuserNamesAlternatives) {

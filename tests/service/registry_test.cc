@@ -20,7 +20,7 @@ using common::StatusCode;
 TEST(SelectorRegistryTest, BuildsEveryBuiltinKey) {
   const core::SelectorRegistry registry = core::BuiltinSelectorRegistry();
   for (const std::string key :
-       {"greedy", "opt", "sampled", "random", "query_based"}) {
+       {"greedy", "opt", "random", "query_based"}) {
     core::SelectorSpec spec;
     spec.kind = key;
     spec.foi = {0};  // required by query_based, ignored by the others
@@ -40,7 +40,7 @@ TEST(SelectorRegistryTest, UnknownKeyNamesKeyAndAlternatives) {
   EXPECT_NE(result.status().message().find("gredy"), std::string::npos)
       << result.status();
   for (const std::string key :
-       {"greedy", "opt", "sampled", "random", "query_based"}) {
+       {"greedy", "opt", "random", "query_based"}) {
     EXPECT_NE(result.status().message().find(key), std::string::npos)
         << result.status();
   }
@@ -74,8 +74,8 @@ TEST(SelectorRegistryTest, FactoryValidationSurfaces) {
   EXPECT_EQ(registry.Create("query_based", spec).status().code(),
             StatusCode::kInvalidArgument);
   spec = core::SelectorSpec{};
-  spec.samples = 0;
-  EXPECT_EQ(registry.Create("sampled", spec).status().code(),
+  spec.max_subsets = -1;
+  EXPECT_EQ(registry.Create("opt", spec).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -232,7 +232,7 @@ TEST(FuserRegistryTest, UnknownKeyAndBadSpecFail) {
 TEST(RegistryTest, KeysAreSortedAndComplete) {
   EXPECT_EQ(core::BuiltinSelectorRegistry().Keys(),
             (std::vector<std::string>{"greedy", "opt", "query_based",
-                                      "random", "sampled"}));
+                                      "random"}));
   EXPECT_EQ(crowd::FullProviderRegistry().Keys(),
             (std::vector<std::string>{"scripted", "simulated_crowd"}));
   EXPECT_EQ(fusion::BuiltinFuserRegistry().Keys(),

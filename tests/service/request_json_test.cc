@@ -125,11 +125,15 @@ TEST(RequestJsonTest, MinimalDocumentGetsDefaults) {
   EXPECT_EQ(request->assumed_pc, defaults.assumed_pc);
 
   // The selector object ignores keys it does not know, among them the
-  // retired "preprocessing_mode".
-  auto legacy = ParseFusionRequest(
-      R"({"mode": "engine", "selector": {"preprocessing_mode": "dense"}})");
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  EXPECT_EQ(legacy->selector, defaults.selector);
+  // retired "preprocessing_mode", "samples" and "bias_correction".
+  for (const char* legacy_document :
+       {R"({"mode": "engine", "selector": {"preprocessing_mode": "dense"}})",
+        R"({"mode": "engine",
+            "selector": {"samples": 0, "bias_correction": false}})"}) {
+    auto legacy = ParseFusionRequest(legacy_document);
+    ASSERT_TRUE(legacy.ok()) << legacy_document << ": " << legacy.status();
+    EXPECT_EQ(legacy->selector, defaults.selector) << legacy_document;
+  }
 }
 
 TEST(RequestJsonTest, InfinityDeadlineSurvivesTheWire) {
